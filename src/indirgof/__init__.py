@@ -16,7 +16,6 @@ from .estimation import (
     Dataset,
     DensityEstimate,
     RegressionFit,
-    ecdf_eval,
     estimate_coeffs,
     estimate_density,
     fit,
@@ -44,7 +43,6 @@ from .nulls import (
     gaussian_null,
     get_null,
     get_sampler,
-    laplace_null,
     score_h,
     student_t_null,
 )
@@ -59,10 +57,7 @@ from .simulation import (
 )
 from .spectral import (
     FreqLattice,
-    SmoothingKernel,
-    SpectralCutoffKernel,
     enumerate_lattice,
-    smoothing_weight,
     weight_matrix,
 )
 

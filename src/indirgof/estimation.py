@@ -1,18 +1,20 @@
 """Covariate density and regression estimation by truncated Fourier series.
 
-The distorted regression surface is estimated as
+The distorted regression surface is estimated by the truncated Fourier
+series with the coefficients ``rhat`` of every lattice index,
 
-    fitted(x) = (1/n) * sum_j  [y_j / g_hat(x_j)] * W_c(x - x_j),
+    fitted(x) = sum_{|k| <= radius}  rhat_k * exp(i 2 pi k.x)
+              = (1/n) * sum_j  [y_j / g_hat(x_j)] * W(x - x_j),
 
-equivalently as the Fourier series with coefficients ``weights * rhat``.
-The covariate density g_hat is itself a Fourier smoother built from the
-empirical characteristic coefficients, clamped below at a configurable
-floor because the Dirichlet-type weights oscillate and the raw estimate
-can dip to zero or below in small samples.
+where W is the Dirichlet kernel of the lattice.  The covariate density
+g_hat is itself a Fourier smoother built from the empirical characteristic
+coefficients, clamped below at a configurable floor because the Dirichlet
+kernel oscillates and the raw estimate can dip to zero or below in small
+samples.
 
-With a radially symmetric kernel the residuals sum to zero exactly (up to
-accumulated rounding) provided the floor never activates; the property is
-structural and no recentring is applied.
+Because the lattice contains the zero frequency, the residuals sum to zero
+exactly (up to accumulated rounding) provided the floor never activates;
+the property is structural and no recentring is applied.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFitError
-from .spectral import FreqLattice, smoothing_weight, weight_matrix
+from .spectral import FreqLattice
 
 #: Default lower clamp for the covariate density estimate.
 DEFAULT_DENSITY_FLOOR = 0.05
@@ -85,15 +87,10 @@ def _mirrored_coeffs(phases, values, zero_value):
     return coeffs
 
 
-def _eval_series(lattice, coeffs, x, return_imag=False):
-    """Real part of ``sum_k w_k * coeffs_k * exp(i 2 pi k.x)``."""
+def _eval_series(lattice, coeffs, x):
+    """Real part of ``sum_k coeffs_k * exp(i 2 pi k.x)``."""
     ph = lattice.phases(np.atleast_2d(np.asarray(x, dtype=float)))
-    wc = lattice.weights * coeffs
-    re = np.cos(ph) @ wc.real - np.sin(ph) @ wc.imag
-    if return_imag:
-        im = np.cos(ph) @ wc.imag + np.sin(ph) @ wc.real
-        return re, im
-    return re
+    return np.cos(ph) @ coeffs.real - np.sin(ph) @ coeffs.imag
 
 
 @dataclass(frozen=True)
@@ -195,20 +192,14 @@ class RegressionFit:
 def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """Fit the Fourier-series regression and standardize its residuals.
 
-    Residuals at the data points use the direct weight-sum form (one
-    pairwise weight matrix), which agrees with the coefficient form to
-    rounding.  Raises :class:`DegenerateFitError` when the residual scale
-    vanishes relative to the response size, since the error-distribution
-    test is undefined for an interpolating fit.
+    Fitted values at the data points come from the coefficient series,
+    O(nN) for N lattice indices.  Raises :class:`DegenerateFitError` when
+    the residual scale vanishes relative to the response size, since the
+    error-distribution test is undefined for an interpolating fit.
     """
-    if not lattice.kernel.radially_symmetric:
-        raise ValueError("regression fit requires a radially symmetric kernel")
     density = estimate_density(data, lattice, floor)
     rhat = estimate_coeffs(data, density, lattice)
-    wmat = weight_matrix(lattice, data.x)
-    ratios = data.y / density.evaluate(data.x)
-    fitted = wmat @ ratios / data.n
-    residuals = data.y - fitted
+    residuals = data.y - _eval_series(lattice, rhat, data.x)
     sigma_hat = float(np.sqrt(np.mean(residuals**2)))
     if sigma_hat <= 1e-13 * (1.0 + float(np.mean(np.abs(data.y)))):
         raise DegenerateFitError(
@@ -225,9 +216,3 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
         z=z,
         z_sorted=np.sort(z),
     )
-
-
-def ecdf_eval(regression_fit, t):
-    """Empirical distribution function of the standardized residuals."""
-    out = regression_fit.ecdf(t)
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out

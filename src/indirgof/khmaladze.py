@@ -81,9 +81,8 @@ def gamma_quadrature(null, t, tol=1e-9):
         h = score_h(null, u)
         return np.outer(h, h) * f
 
-    breaks = [b for b in null.score_breakpoints if b > t] or None
     result, err = quad_vec(integrand, float(t), np.inf,
-                           epsabs=tol * 1e-2, epsrel=1e-10, points=breaks)
+                           epsabs=tol * 1e-2, epsrel=1e-10)
     if not np.all(np.isfinite(result)) or err > tol:
         raise QuadratureError(
             f"tail information quadrature from t={t} for null "
@@ -98,11 +97,6 @@ class GammaProvider:
 
     null: object
     mode: str  # "gaussian-closed-form" or "quadrature"
-
-    def matrix(self, t):
-        if self.mode == "gaussian-closed-form":
-            return gamma_closed_form_gaussian(t)
-        return gamma_quadrature(self.null, t)
 
     def matrix_on_grid(self, grid):
         """Matrices at every grid point, shape ``(len(grid), 3, 3)``.
@@ -130,17 +124,6 @@ def _gl_panel_integrals(null, lo, hi, xg, wg):
 def _gamma_panels(null, grid, nodes=8):
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     panel = _gl_panel_integrals(null, grid[:-1], grid[1:], xg, wg)
-    # Gauss-Legendre loses its accuracy across a score discontinuity; split
-    # any straddling panel at the breakpoint so each piece is smooth.
-    for b in null.score_breakpoints:
-        if not grid[0] < b < grid[-1]:
-            continue
-        j = int(np.searchsorted(grid, b)) - 1
-        if grid[j] < b < grid[j + 1]:
-            parts = _gl_panel_integrals(
-                null, np.array([grid[j], b]), np.array([b, grid[j + 1]]), xg, wg
-            )
-            panel[j] = parts.sum(axis=0)
     out = np.empty((len(grid), 3, 3))
     out[-1] = gamma_quadrature(null, grid[-1])
     out[:-1] = out[-1][None, :, :] + np.cumsum(panel[::-1], axis=0)[::-1]
@@ -327,12 +310,18 @@ def ks_diagnostic(regression_fit, null):
 # ---------------------------------------------------------------------------
 
 def brownian_sup_tail(q):
-    """P(sup_{0<=s<=1} |B(s)| > q) via the alternating exponential series.
+    """P(sup_{0<=s<=1} |B(s)| > q).
 
-    Terms are accumulated until one falls below 1e-14 in magnitude.
+    For q >= 1 the reflection series 4 * sum_k (-1)^k Phibar((2k+1) q)
+    keeps the upper tail's relative accuracy down to underflow; its sixth
+    term is below 1e-18 of the sum.  Below 1 the tail exceeds 0.6 and the
+    alternating exponential series, accumulated until a term falls below
+    1e-14 in magnitude, converges faster.
     """
     if q <= 0.0:
         return 1.0
+    if q >= 1.0:
+        return 4.0 * sum((-1) ** k * float(ndtr(-(2 * k + 1) * q)) for k in range(5))
     c = math.pi * math.pi / (8.0 * q * q)
     total = 0.0
     k = 0

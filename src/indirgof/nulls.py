@@ -10,6 +10,13 @@ collects the constant, location and scale score directions used by the
 martingale transform.  Finite Fisher information for location and scale
 is a documented precondition; :func:`check_fisher_information` probes it
 by quadrature and warns, but nothing is enforced.
+
+The built-in nulls are the Gaussian and the unit-variance Student t.  Both
+have smooth scores, so the tail information matrix of the transform stays
+invertible at every finite point.  A law whose location score is piecewise
+constant, such as the Laplace, makes that matrix singular beyond its kink
+and is not offered as a null; the Laplace remains an error sampler of the
+simulation study.
 """
 
 import math
@@ -25,17 +32,11 @@ from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 from .errors import EvaluationRangeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LAPLACE_B = 1.0 / math.sqrt(2.0)  # unit-variance Laplace scale
 
 
 @dataclass(frozen=True)
 class NullModel:
-    """Standardized null error law with the pieces the transform needs.
-
-    ``score_breakpoints`` lists points where the score functions are
-    discontinuous or kinked (e.g. the origin for the Laplace law); the
-    quadrature machinery aligns integration panels with them.
-    """
+    """Standardized null error law with the pieces the transform needs."""
 
     name: str
     cdf: Callable = field(repr=False)
@@ -43,7 +44,6 @@ class NullModel:
     pdf_derivative: Callable = field(repr=False)
     quantile: Callable = field(repr=False)
     is_gaussian: bool = False
-    score_breakpoints: tuple = ()
 
     def sample(self, rng, size):
         """Draw by quantile transform of uniforms."""
@@ -73,46 +73,6 @@ def gaussian_null():
         pdf_derivative=_norm_pdf_derivative,
         quantile=ndtri,
         is_gaussian=True,
-    )
-
-
-def _laplace_cdf(t):
-    t = np.asarray(t, dtype=float)
-    return np.where(t < 0.0, 0.5 * np.exp(t / _LAPLACE_B),
-                    1.0 - 0.5 * np.exp(-t / _LAPLACE_B))
-
-
-def _laplace_pdf(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(-np.abs(t) / _LAPLACE_B) / (2.0 * _LAPLACE_B)
-
-
-def _laplace_pdf_derivative(t):
-    t = np.asarray(t, dtype=float)
-    return -np.sign(t) * _laplace_pdf(t) / _LAPLACE_B
-
-
-def _laplace_quantile(p):
-    p = np.asarray(p, dtype=float)
-    return np.where(p < 0.5, _LAPLACE_B * np.log(2.0 * p),
-                    -_LAPLACE_B * np.log(2.0 * (1.0 - p)))
-
-
-def laplace_null():
-    """Unit-variance Laplace null model (scale 1/sqrt(2)).
-
-    Note that its location score is piecewise constant, so the tail
-    information matrix is exactly singular on [0, inf); the transform's
-    condition guard rejects this null, which is the intended behaviour.
-    It remains available for the quadrature machinery and diagnostics.
-    """
-    return NullModel(
-        name="laplace",
-        cdf=_laplace_cdf,
-        pdf=_laplace_pdf,
-        pdf_derivative=_laplace_pdf_derivative,
-        quantile=_laplace_quantile,
-        score_breakpoints=(0.0,),
     )
 
 
@@ -164,7 +124,6 @@ def student_t_null(df=6.0):
 
 _NULL_BUILDERS = {
     "gaussian": gaussian_null,
-    "laplace": laplace_null,
     "student-t": student_t_null,
 }
 

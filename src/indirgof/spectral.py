@@ -1,19 +1,18 @@
-"""Frequency lattices and trigonometric smoothing weights.
+"""Frequency lattices and the pairwise spectral-cutoff weight matrix.
 
 A frequency index is a length-m integer vector k.  A :class:`FreqLattice`
-collects every index inside a cutoff radius together with the kernel
-weight attached to each index.  The associated smoothing weight function
+collects every index inside a cutoff radius.  The associated smoothing
+weight function
 
-    W_c(x) = sum_k  w_k * cos(2*pi*k.x)
+    W(x) = sum_{|k| <= radius}  cos(2*pi*k.x)
 
-is the multivariate Dirichlet-type kernel whose Fourier coefficients are
-the lattice weights.  Because the lattice is closed under negation and the
-weights are even in k, the complex exponential form of W_c has an exactly
-cancelling imaginary part; all hot-loop evaluation here uses the real
-cosine form.
+is the multivariate Dirichlet kernel of the sharp spectral cutoff: every
+index inside the radius carries weight 1.  Because the lattice is closed
+under negation, the complex exponential form of W has an exactly
+cancelling imaginary part; all evaluation here uses the real cosine form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,68 +25,25 @@ DEFAULT_LATTICE_CAP = 10_000_000
 TWO_PI = 2.0 * np.pi
 
 
-class SmoothingKernel:
-    """Weight function on scaled frequency space.
-
-    ``weight(u)`` maps scaled frequencies u (shape ``(..., m)``) to
-    multipliers, equal to 1 on the closed unit ball and bounded by 1 in
-    absolute value outside it.  ``support_radius`` is the radius (in
-    scaled-frequency units) beyond which the weight vanishes.  Only
-    kernels with ``radially_symmetric = True`` are accepted by the
-    goodness-of-fit pipeline.
-    """
-
-    name = "abstract"
-    radially_symmetric = False
-
-    def weight(self, u):
-        raise NotImplementedError
-
-    def support_radius(self):
-        return np.inf
-
-
-class SpectralCutoffKernel(SmoothingKernel):
-    """Sharp cutoff: weight 1 on the closed unit ball, 0 outside."""
-
-    name = "spectral-cutoff"
-    radially_symmetric = True
-
-    def weight(self, u):
-        u = np.asarray(u, dtype=float)
-        return (np.sqrt(np.sum(u * u, axis=-1)) <= 1.0 + 1e-12).astype(float)
-
-    def support_radius(self):
-        return 1.0
-
-
 @dataclass(frozen=True)
 class FreqLattice:
-    """Integer frequency vectors within a cutoff radius, with weights.
+    """Integer frequency vectors within a cutoff radius.
 
     Attributes
     ----------
     m : int
         Dimension of the frequency vectors.
-    c : float
-        Smoothing parameter; indices satisfy ``norm(c * k) <= support``.
     radius : float
-        Cutoff radius in index units (``support_radius / c``).
+        Cutoff radius in index units; indices satisfy ``norm(k) <= radius``.
     indices : ndarray of shape (N, m), int64
         All lattice points, in lexicographic order.  Closed under
         negation, so ``indices[i] == -indices[N - 1 - i]`` and the middle
         row is the zero vector.
-    weights : ndarray of shape (N,)
-        Kernel weight for each index.
-    kernel : SmoothingKernel
     """
 
     m: int
-    c: float
     radius: float
     indices: np.ndarray
-    weights: np.ndarray
-    kernel: SmoothingKernel = field(repr=False)
 
     def __post_init__(self):
         n = len(self.indices)
@@ -114,7 +70,7 @@ class FreqLattice:
         return TWO_PI * (x @ self.indices.T.astype(float))
 
 
-def enumerate_lattice(m, radius, kernel=None, cap=DEFAULT_LATTICE_CAP):
+def enumerate_lattice(m, radius, cap=DEFAULT_LATTICE_CAP):
     """Enumerate all integer frequency vectors with Euclidean norm <= radius.
 
     Parameters
@@ -123,9 +79,6 @@ def enumerate_lattice(m, radius, kernel=None, cap=DEFAULT_LATTICE_CAP):
         Dimension, at least 1.
     radius : float
         Positive cutoff radius.
-    kernel : SmoothingKernel, optional
-        Defaults to the sharp spectral cutoff, for which every included
-        index carries weight 1.
     cap : int
         Upper bound on the number of candidate indices scanned.
 
@@ -138,8 +91,6 @@ def enumerate_lattice(m, radius, kernel=None, cap=DEFAULT_LATTICE_CAP):
         raise ValueError(f"dimension must be at least 1, got {m}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if kernel is None:
-        kernel = SpectralCutoffKernel()
     half = int(np.floor(radius))
     total = (2 * half + 1) ** m
     if total > cap:
@@ -152,42 +103,20 @@ def enumerate_lattice(m, radius, kernel=None, cap=DEFAULT_LATTICE_CAP):
     # Integer norm comparison avoids any floating-point boundary fuzz.
     inside = np.sum(grid * grid, axis=1) <= radius * radius
     indices = np.ascontiguousarray(grid[inside])
-    c = kernel.support_radius() / radius
-    weights = np.asarray(kernel.weight(c * indices), dtype=float)
-    return FreqLattice(m=m, c=c, radius=float(radius), indices=indices,
-                       weights=weights, kernel=kernel)
-
-
-def smoothing_weight(lattice, x):
-    """Evaluate W_c at one or more points.
-
-    ``x`` may be a single point of shape ``(m,)`` (returns a float) or an
-    array of points of shape ``(P, m)`` (returns shape ``(P,)``).  The
-    imaginary part of the complex-exponential form cancels exactly by the
-    negation closure of the lattice; in debug mode this cancellation is
-    asserted to 1e-10.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    ph = lattice.phases(x)
-    out = np.cos(ph) @ lattice.weights
-    if __debug__:
-        imag = np.sin(ph) @ lattice.weights
-        assert np.max(np.abs(imag)) < 1e-10, "imaginary part failed to cancel"
-    return float(out[0]) if single else out
+    return FreqLattice(m=m, radius=float(radius), indices=indices)
 
 
 def weight_matrix(lattice, x):
-    """Pairwise smoothing weights ``W_c(x_i - x_j)`` as an (n, n) matrix.
+    """Pairwise smoothing weights ``W(x_i - x_j)`` as an (n, n) matrix.
 
     Uses cos(a - b) = cos a cos b + sin a sin b so the matrix is built
-    from two rank-N products instead of n^2 lattice sums.  The result is
-    symmetrized to remove BLAS rounding asymmetry; mathematically it is
-    exactly symmetric because the weights are even in k.
+    from two rank-N products instead of n^2 lattice sums.  NumPy evaluates
+    a product ``A @ A.T`` as a symmetric rank-N update and mirrors one
+    triangle, so the result is exactly symmetric without a further pass.
     """
     ph = lattice.phases(x)
     cos_ph = np.cos(ph)
     sin_ph = np.sin(ph)
-    w = lattice.weights
-    mat = (cos_ph * w) @ cos_ph.T + (sin_ph * w) @ sin_ph.T
-    return (mat + mat.T) * 0.5
+    mat = cos_ph @ cos_ph.T
+    mat += sin_ph @ sin_ph.T
+    return mat

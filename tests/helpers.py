@@ -3,8 +3,9 @@
 Everything here deliberately avoids the production code paths it is used
 to check: the transformed process is evaluated by a direct double sum
 with adaptive quadrature, the Brownian supremum law comes from the
-reflection (inclusion-exclusion) series, and leave-one-out predictions
-come from literal refits on reduced datasets.
+reflection (inclusion-exclusion) series, leave-one-out predictions
+come from literal refits on reduced datasets, and the smoothing weight
+function is a plain cosine sum over the lattice.
 """
 
 import math
@@ -108,15 +109,24 @@ def refit_loo_prediction(data, lattice, floor, j):
     density = estimate_density(reduced, lattice, floor)
     rhat = estimate_coeffs(reduced, density, lattice)
     ph = lattice.phases(data.x[j][None, :])
-    wc = lattice.weights * rhat
-    return float((np.cos(ph) @ wc.real - np.sin(ph) @ wc.imag)[0])
+    return float((np.cos(ph) @ rhat.real - np.sin(ph) @ rhat.imag)[0])
+
+
+def smoothing_weight(lattice, x):
+    """Dirichlet kernel ``W(x) = sum_k cos(2 pi k.x)`` of the lattice.
+
+    ``x`` may be a single point of shape ``(m,)`` (returns a float) or an
+    array of points of shape ``(P, m)`` (returns shape ``(P,)``).
+    """
+    x = np.asarray(x, dtype=float)
+    vals = np.cos(lattice.phases(x)).sum(axis=1)
+    return float(vals[0]) if x.ndim == 1 else vals
 
 
 def complex_weight_sum(lattice, x):
     """Complex-exponential evaluation of the smoothing weight function."""
     ph = lattice.phases(np.atleast_2d(np.asarray(x, dtype=float)))
-    vals = (np.exp(1j * ph) * lattice.weights).sum(axis=1)
-    return vals
+    return np.exp(1j * ph).sum(axis=1)
 
 
 def brute_lattice_count(m, radius, span):

@@ -237,6 +237,19 @@ class TestTestCommand:
         write_dataset_csv(generate(paper_model("normal", "uniform"), 40, rng), src)
         assert main(["test", str(src), "--null", "pareto"]) == 1
 
+    def test_laplace_is_not_a_null(self, tmp_path):
+        # the Laplace tail information matrix is singular beyond the origin,
+        # so it is offered only as an error sampler, never as a null
+        src = tmp_path / "d.csv"
+        rng = np.random.default_rng(412)
+        write_dataset_csv(generate(paper_model("laplace", "uniform"), 40, rng), src)
+        err = tmp_path / "err.json"
+        rc = main(["test", str(src), "--null", "laplace", "--error-json", str(err)])
+        assert rc == 1
+        payload = json.loads(err.read_text())
+        assert payload["error"] == "ValueError"
+        assert "gaussian, student-t" in payload["message"]
+
     def test_output_paths_checked_before_compute(self, tmp_path):
         src = tmp_path / "d.csv"
         rng = np.random.default_rng(411)
@@ -292,6 +305,11 @@ class TestSimulateCommand:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["rows"][0]["n"] == 40
+
+    def test_laplace_errors_still_simulated(self):
+        rc = main(["simulate", "--scenarios", "laplace", "--reps", "2",
+                   "--n", "60"])
+        assert rc == 0
 
 
 class TestImageCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from indirgof.errors import InsufficientDataError, SingularMatrixError
@@ -19,7 +21,7 @@ from indirgof.khmaladze import (
     transform,
     transform_standardized,
 )
-from indirgof.nulls import gaussian_null, laplace_null, score_h, student_t_null
+from indirgof.nulls import gaussian_null, score_h, student_t_null
 from indirgof.simulation import THETA_COEFFS, IdentityPsi, SyntheticModel, power_study
 from indirgof.nulls import ErrorSampler
 from indirgof.spectral import enumerate_lattice
@@ -82,13 +84,14 @@ class TestGammaClosedForm:
 
 class TestGammaQuadratureProvider:
     def test_grid_matches_pointwise(self):
-        null = laplace_null()
+        null = student_t_null()
         provider = gamma_provider_for(null)
         assert provider.mode == "quadrature"
         grid = np.linspace(-3.0, 2.0, 257)
         on_grid = provider.matrix_on_grid(grid)
         for idx in (0, 64, 128, 200, 256):
-            assert np.max(np.abs(on_grid[idx] - provider.matrix(grid[idx]))) < 1e-8
+            pointwise = gamma_quadrature(null, grid[idx])
+            assert np.max(np.abs(on_grid[idx] - pointwise)) < 1e-8
 
     def test_gaussian_uses_closed_form(self):
         assert GAMMA.mode == "gaussian-closed-form"
@@ -206,15 +209,6 @@ class TestTransform:
         trace = transform_standardized(z, null, scan_grid=1024)
         assert np.all(np.isfinite(trace.values))
 
-    def test_laplace_null_degenerates_beyond_origin(self):
-        # the Laplace location score is piecewise constant, making the
-        # tail information matrix exactly singular on [0, inf); the
-        # condition guard must refuse rather than silently regularize
-        rng = np.random.default_rng(59)
-        z = rng.standard_normal(50)
-        with pytest.raises(SingularMatrixError):
-            transform_standardized(z, laplace_null(), scan_grid=512)
-
     def test_trace_rejects_points_beyond_t0(self):
         with pytest.raises(ValueError, match="t0"):
             ProcessTrace(eval_points=np.array([0.0, 2.0]),
@@ -253,6 +247,20 @@ class TestBrownianQuantiles:
         assert brownian_sup_tail(q) == pytest.approx(0.9999, abs=1e-5)
         assert 0.5 > q  # a modest positive statistic already rejects
         assert brownian_sup_tail(0.0) == 1.0
+
+    @pytest.mark.parametrize("q", [5.0, 7.0, 8.5, 10.0, 20.0])
+    def test_upper_tail_keeps_relative_accuracy(self, q):
+        # beyond q = 3 the reflection series is 4 * Phibar(q) to relative
+        # 1e-18 (the next term is 4 * Phibar(3q)), so erfc is an oracle
+        assert brownian_sup_tail(q) == pytest.approx(
+            2.0 * math.erfc(q / math.sqrt(2.0)), rel=1e-12, abs=0.0
+        )
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-15, 1e-17])
+    def test_tiny_alpha_quantile(self, alpha):
+        q = brownian_sup_quantile(alpha)
+        true_tail = 2.0 * math.erfc(q / math.sqrt(2.0))
+        assert true_tail == pytest.approx(alpha, rel=1e-4, abs=0.0)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
@@ -316,6 +324,22 @@ class TestDecide:
         r1 = decide(fit(data, enumerate_lattice(2, 2)), NULL, 0.05)
         r2 = decide(fit(shuffled, enumerate_lattice(2, 2)), NULL, 0.05)
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-9)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 80),
+           m=st.sampled_from([1, 2]), radius=st.sampled_from([1, 2]))
+    def test_permutation_property(self, seed, n, m, radius):
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, m))
+        y = np.cos(2 * np.pi * x[:, 0]) + 0.5 * rng.standard_normal(n)
+        perm = rng.permutation(n)
+        lat = enumerate_lattice(m, radius)
+        f1 = fit(Dataset(x=x, y=y), lat)
+        f2 = fit(Dataset(x=x[perm], y=y[perm]), lat)
+        assert_allclose(f2.residuals, f1.residuals[perm], rtol=0, atol=1e-12)
+        s1 = decide(f1, NULL, 0.05).statistic
+        s2 = decide(f2, NULL, 0.05).statistic
+        assert s2 == pytest.approx(s1, rel=1e-10)
 
 
 class TestNullCalibration:

@@ -5,14 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from indirgof.errors import LatticeCapError
-from indirgof.spectral import (
-    SpectralCutoffKernel,
-    enumerate_lattice,
-    smoothing_weight,
-    weight_matrix,
-)
+from indirgof.spectral import enumerate_lattice, weight_matrix
 
-from helpers import brute_lattice_count, complex_weight_sum
+from helpers import brute_lattice_count, complex_weight_sum, smoothing_weight
 
 
 class TestEnumerateLattice:
@@ -20,7 +15,6 @@ class TestEnumerateLattice:
         lat = enumerate_lattice(1, 1)
         assert lat.size == 3
         assert_array_equal(lat.indices.ravel(), [-1, 0, 1])
-        assert_array_equal(lat.weights, [1.0, 1.0, 1.0])
 
     def test_dim2_radius1(self):
         lat = enumerate_lattice(2, 1)
@@ -55,11 +49,6 @@ class TestEnumerateLattice:
         as_tuples = [tuple(k) for k in lat.indices]
         assert as_tuples == sorted(as_tuples)
 
-    def test_smoothing_parameter_is_inverse_radius(self):
-        lat = enumerate_lattice(2, 4)
-        assert lat.c == pytest.approx(0.25)
-        assert lat.kernel.radially_symmetric
-
 
 class TestSmoothingWeight:
     def test_origin_dim1(self):
@@ -76,10 +65,11 @@ class TestSmoothingWeight:
         assert smoothing_weight(lat, np.array([0.0, 0.0])) == pytest.approx(5.0)
 
     def test_origin_equals_total_weight(self):
+        # every index inside the cutoff carries weight 1
         for m, r in [(1, 3), (2, 2.5), (3, 1.5)]:
             lat = enumerate_lattice(m, r)
             w0 = smoothing_weight(lat, np.zeros(m))
-            assert w0 == pytest.approx(float(lat.weights.sum()), abs=1e-12)
+            assert w0 == pytest.approx(float(lat.size), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
@@ -110,8 +100,6 @@ class TestSmoothingWeight:
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         vals = smoothing_weight(lat, pts - y)
         assert np.mean(vals) == pytest.approx(1.0, abs=1e-6)
-        zero_weight = lat.weights[lat.zero_position]
-        assert zero_weight == pytest.approx(1.0)
 
 
 class TestWeightMatrix:
@@ -130,9 +118,3 @@ class TestWeightMatrix:
         x = rng.random((20, 1))
         mat = weight_matrix(lat, x)
         assert_array_equal(mat, mat.T)
-
-
-def test_cutoff_kernel_weight_shape():
-    kern = SpectralCutoffKernel()
-    u = np.array([[0.3, 0.4], [0.8, 0.8]])
-    assert_array_equal(kern.weight(u), [1.0, 0.0])
