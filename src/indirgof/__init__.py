@@ -5,7 +5,6 @@ from .bandwidth import CvReport, cv_select, default_radius_grid
 from .errors import (
     DataFormatError,
     DegenerateFitError,
-    EvaluationRangeError,
     IndirgofError,
     InsufficientDataError,
     LatticeCapError,
@@ -21,7 +20,6 @@ from .estimation import (
     fit,
 )
 from .khmaladze import (
-    GammaProvider,
     ProcessTrace,
     ScanFunction,
     TestReport,
@@ -30,9 +28,9 @@ from .khmaladze import (
     build_scan,
     decide,
     gamma_closed_form_gaussian,
-    gamma_provider_for,
     gamma_quadrature,
     statistic,
+    tail_matrices,
     transform,
     transform_standardized,
 )

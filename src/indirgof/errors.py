@@ -25,9 +25,5 @@ class QuadratureError(IndirgofError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-class EvaluationRangeError(IndirgofError):
-    """A model function was evaluated outside its numerically meaningful range."""
-
-
 class DataFormatError(IndirgofError):
     """An input file is malformed or violates the documented format."""

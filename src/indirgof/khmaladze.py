@@ -29,7 +29,7 @@ from scipy.special import ndtr
 
 from .errors import InsufficientDataError, QuadratureError, SingularMatrixError
 from .nulls import check_fisher_information, score_h
-from .nulls import _norm_pdf  # shared Gaussian density
+from .nulls import gamma_closed_form_gaussian  # noqa: F401  (re-exported)
 
 #: Default number of scan-grid points for the accumulated integral G0.
 DEFAULT_SCAN_GRID = 4096
@@ -41,29 +41,6 @@ GAMMA_CONDITION_LIMIT = 1e12
 # ---------------------------------------------------------------------------
 # Tail information matrix
 # ---------------------------------------------------------------------------
-
-def gamma_closed_form_gaussian(t):
-    """Closed-form tail information matrix of the standard normal null.
-
-    Vectorized: scalar ``t`` yields a (3, 3) matrix, an array of shape
-    ``s`` yields ``s + (3, 3)``.  The survival function is evaluated as
-    ``ndtr(-t)`` for tail stability.
-    """
-    t = np.asarray(t, dtype=float)
-    phi = _norm_pdf(t)
-    sf = ndtr(-t)
-    out = np.empty(t.shape + (3, 3))
-    out[..., 0, 0] = sf
-    out[..., 0, 1] = phi
-    out[..., 0, 2] = t * phi
-    out[..., 1, 1] = sf + t * phi
-    out[..., 1, 2] = (t * t + 1.0) * phi
-    out[..., 2, 2] = 2.0 * sf + (t**3 + t) * phi
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 2, 0] = out[..., 0, 2]
-    out[..., 2, 1] = out[..., 1, 2]
-    return out
-
 
 def gamma_quadrature(null, t, tol=1e-9):
     """Tail information matrix by adaptive quadrature.
@@ -91,27 +68,6 @@ def gamma_quadrature(null, t, tol=1e-9):
     return (result + result.T) * 0.5
 
 
-@dataclass(frozen=True)
-class GammaProvider:
-    """Evaluator for the tail information matrix of a null model."""
-
-    null: object
-    mode: str  # "gaussian-closed-form" or "quadrature"
-
-    def matrix_on_grid(self, grid):
-        """Matrices at every grid point, shape ``(len(grid), 3, 3)``.
-
-        Quadrature mode anchors one adaptive evaluation at the top of the
-        grid and accumulates exact Gauss-Legendre panel integrals
-        downward, preserving adaptive accuracy without one quadrature per
-        grid point.
-        """
-        grid = np.asarray(grid, dtype=float)
-        if self.mode == "gaussian-closed-form":
-            return gamma_closed_form_gaussian(grid)
-        return _gamma_panels(self.null, grid)
-
-
 def _gl_panel_integrals(null, lo, hi, xg, wg):
     half = 0.5 * (hi - lo)
     ys = 0.5 * (lo + hi)[:, None] + half[:, None] * xg[None, :]
@@ -130,16 +86,20 @@ def _gamma_panels(null, grid, nodes=8):
     return out
 
 
-def gamma_provider_for(null):
-    """Closed form for the Gaussian null, quadrature otherwise.
+def tail_matrices(null, grid):
+    """Tail information matrices at every grid point, shape ``(len(grid), 3, 3)``.
 
-    Quadrature mode runs the Fisher-information diagnostic, which warns
-    (never raises) when the finite-information precondition looks shaky.
+    Uses the null's closed form when it has one.  Otherwise the
+    Fisher-information diagnostic runs first (it warns, never raises) and
+    one adaptive quadrature anchored at the top of the grid is accumulated
+    downward by exact Gauss-Legendre panel integrals, preserving adaptive
+    accuracy without one quadrature per grid point.
     """
-    if null.is_gaussian:
-        return GammaProvider(null, "gaussian-closed-form")
+    grid = np.asarray(grid, dtype=float)
+    if null.tail_matrix is not None:
+        return null.tail_matrix(grid)
     check_fisher_information(null)
-    return GammaProvider(null, "quadrature")
+    return _gamma_panels(null, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +126,7 @@ class ScanFunction:
         )
 
 
-def build_scan(null, gamma, t0, grid_size=DEFAULT_SCAN_GRID):
+def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
     """Accumulate G0 by the trapezoid rule on a uniform grid up to ``t0``.
 
     The grid starts at the 1e-6 quantile of the null law, below which the
@@ -184,7 +144,7 @@ def build_scan(null, gamma, t0, grid_size=DEFAULT_SCAN_GRID):
             f"scan endpoint {t0} must exceed the lower integration point {t_lo}"
         )
     grid = np.linspace(t_lo, t0, int(grid_size))
-    gam = gamma.matrix_on_grid(grid)
+    gam = tail_matrices(null, grid)
     eigs = np.linalg.eigvalsh(gam)
     bad = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > GAMMA_CONDITION_LIMIT * eigs[:, 0])
     if np.any(bad):
@@ -227,7 +187,7 @@ class ProcessTrace:
                 fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-def transform_standardized(z, null, gamma=None, *, scan_grid=DEFAULT_SCAN_GRID):
+def transform_standardized(z, null, *, scan_grid=DEFAULT_SCAN_GRID):
     """Transformed empirical process of pre-standardized residuals.
 
     ``z`` is the array of standardized residuals (any order); the scan
@@ -241,10 +201,8 @@ def transform_standardized(z, null, gamma=None, *, scan_grid=DEFAULT_SCAN_GRID):
         raise InsufficientDataError(
             f"the transform needs at least 10 residuals, got {n}"
         )
-    if gamma is None:
-        gamma = gamma_provider_for(null)
     t0 = float(z[int(np.ceil(0.99 * n)) - 1])
-    scan = build_scan(null, gamma, t0, scan_grid)
+    scan = build_scan(null, t0, scan_grid)
 
     h = score_h(null, z)                                    # (n, 3)
     g_at_z = scan(np.minimum(z, t0))
@@ -275,11 +233,9 @@ def transform_standardized(z, null, gamma=None, *, scan_grid=DEFAULT_SCAN_GRID):
     return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0, n=n)
 
 
-def transform(regression_fit, null, gamma=None, *, scan_grid=DEFAULT_SCAN_GRID):
+def transform(regression_fit, null, *, scan_grid=DEFAULT_SCAN_GRID):
     """Transformed empirical process of a fit's standardized residuals."""
-    return transform_standardized(
-        regression_fit.z_sorted, null, gamma, scan_grid=scan_grid
-    )
+    return transform_standardized(regression_fit.z_sorted, null, scan_grid=scan_grid)
 
 
 def statistic(trace, regression_fit):
@@ -359,6 +315,7 @@ class TestReport:
     """Outcome of the goodness-of-fit test with its diagnostics."""
 
     statistic: float
+    p_value: float
     t0: float
     f_hat_t0: float
     alpha: float
@@ -374,6 +331,7 @@ class TestReport:
     def to_dict(self):
         return {
             "statistic": self.statistic,
+            "p_value": self.p_value,
             "t0": self.t0,
             "f_hat_t0": self.f_hat_t0,
             "alpha": self.alpha,
@@ -387,23 +345,22 @@ class TestReport:
         }
 
 
-def decide(regression_fit, null, alpha, *, scan_grid=DEFAULT_SCAN_GRID, gamma=None):
+def decide(regression_fit, null, alpha, *, scan_grid=DEFAULT_SCAN_GRID):
     """Run the full test on a fitted regression.
 
-    Assembles the tail-information provider (closed form for the
-    Gaussian null, quadrature otherwise), the scan, the transformed
+    Builds the scan from the null's tail information matrices (closed
+    form for the Gaussian null, quadrature otherwise), the transformed
     process and the supremum statistic, then compares against the
-    Brownian supremum quantile.
+    Brownian supremum quantile and reports the matching p-value.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if gamma is None:
-        gamma = gamma_provider_for(null)
-    trace = transform(regression_fit, null, gamma, scan_grid=scan_grid)
+    trace = transform(regression_fit, null, scan_grid=scan_grid)
     t_stat = statistic(trace, regression_fit)
     q_alpha = brownian_sup_quantile(alpha)
     return TestReport(
         statistic=t_stat,
+        p_value=brownian_sup_tail(t_stat),
         t0=trace.t0,
         f_hat_t0=float(regression_fit.ecdf(trace.t0)),
         alpha=float(alpha),

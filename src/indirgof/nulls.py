@@ -1,15 +1,18 @@
 """Standardized null error laws and alternative error samplers.
 
-A :class:`NullModel` bundles the cdf, pdf, pdf derivative and quantile of
+A :class:`NullModel` bundles the cdf, pdf, location score and quantile of
 a candidate standardized error distribution (mean zero, variance one by
-convention).  The augmented score
+convention).  With the location score psi = -f'/f in closed form, the
+augmented score
 
-    h(t) = (1, -f'(t)/f(t), -(f(t) + t f'(t))/f(t))
+    h(t) = (1, psi(t), t psi(t) - 1)
 
 collects the constant, location and scale score directions used by the
-martingale transform.  Finite Fisher information for location and scale
-is a documented precondition; :func:`check_fisher_information` probes it
-by quadrature and warns, but nothing is enforced.
+martingale transform.  It never divides by the density, so it stays
+finite far beyond the point where the density underflows.  Finite Fisher
+information for location and scale is a documented precondition;
+:func:`check_fisher_information` probes it by quadrature and warns, but
+nothing is enforced.
 
 The built-in nulls are the Gaussian and the unit-variance Student t.  Both
 have smooth scores, so the tail information matrix of the transform stays
@@ -29,21 +32,24 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
-from .errors import EvaluationRangeError
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class NullModel:
-    """Standardized null error law with the pieces the transform needs."""
+    """Standardized null error law with the pieces the transform needs.
+
+    ``location_score`` is psi = -f'/f in closed form.  ``tail_matrix``
+    evaluates the tail information matrix on an array of points in closed
+    form; ``None`` means it is computed by quadrature.
+    """
 
     name: str
     cdf: Callable = field(repr=False)
     pdf: Callable = field(repr=False)
-    pdf_derivative: Callable = field(repr=False)
+    location_score: Callable = field(repr=False)
     quantile: Callable = field(repr=False)
-    is_gaussian: bool = False
+    tail_matrix: Callable | None = field(default=None, repr=False)
 
     def sample(self, rng, size):
         """Draw by quantile transform of uniforms."""
@@ -55,9 +61,31 @@ def _norm_pdf(t):
     return np.exp(-0.5 * t * t) / _SQRT_2PI
 
 
-def _norm_pdf_derivative(t):
+def _norm_score(t):
+    return np.asarray(t, dtype=float)
+
+
+def gamma_closed_form_gaussian(t):
+    """Closed-form tail information matrix of the standard normal null.
+
+    Vectorized: scalar ``t`` yields a (3, 3) matrix, an array of shape
+    ``s`` yields ``s + (3, 3)``.  The survival function is evaluated as
+    ``ndtr(-t)`` for tail stability.
+    """
     t = np.asarray(t, dtype=float)
-    return -t * _norm_pdf(t)
+    phi = _norm_pdf(t)
+    sf = ndtr(-t)
+    out = np.empty(t.shape + (3, 3))
+    out[..., 0, 0] = sf
+    out[..., 0, 1] = phi
+    out[..., 0, 2] = t * phi
+    out[..., 1, 1] = sf + t * phi
+    out[..., 1, 2] = (t * t + 1.0) * phi
+    out[..., 2, 2] = 2.0 * sf + (t**3 + t) * phi
+    out[..., 1, 0] = out[..., 0, 1]
+    out[..., 2, 0] = out[..., 0, 2]
+    out[..., 2, 1] = out[..., 1, 2]
+    return out
 
 
 def gaussian_null():
@@ -70,9 +98,9 @@ def gaussian_null():
         name="gaussian",
         cdf=ndtr,
         pdf=_norm_pdf,
-        pdf_derivative=_norm_pdf_derivative,
+        location_score=_norm_score,
         quantile=ndtri,
-        is_gaussian=True,
+        tail_matrix=gamma_closed_form_gaussian,
     )
 
 
@@ -94,9 +122,9 @@ def _t_pdf(df, scale, t):
     return scale * _t_pdf_raw(df, scale * np.asarray(t, dtype=float))
 
 
-def _t_pdf_derivative(df, scale, t):
+def _t_score(df, scale, t):
     x = scale * np.asarray(t, dtype=float)
-    return scale * scale * _t_pdf_raw(df, x) * (-(df + 1.0) * x / (df + x * x))
+    return scale * (df + 1.0) * x / (df + x * x)
 
 
 def _t_quantile(df, scale, p):
@@ -117,7 +145,7 @@ def student_t_null(df=6.0):
         name=f"student-t({df:g})",
         cdf=partial(_t_cdf, df, scale),
         pdf=partial(_t_pdf, df, scale),
-        pdf_derivative=partial(_t_pdf_derivative, df, scale),
+        location_score=partial(_t_score, df, scale),
         quantile=partial(_t_quantile, df, scale),
     )
 
@@ -144,14 +172,8 @@ def score_h(null, t):
     For the Gaussian null this reduces to ``(1, t, t**2 - 1)``.
     """
     t = np.asarray(t, dtype=float)
-    f = np.asarray(null.pdf(t), dtype=float)
-    if np.any(f < 1e-300):
-        worst = float(np.asarray(t).ravel()[np.argmin(np.asarray(f).ravel())])
-        raise EvaluationRangeError(
-            f"null density underflows at t={worst}; score is not evaluable"
-        )
-    fp = np.asarray(null.pdf_derivative(t), dtype=float)
-    return np.stack([np.ones_like(t), -fp / f, -(f + t * fp) / f], axis=-1)
+    psi = np.asarray(null.location_score(t), dtype=float)
+    return np.stack([np.ones_like(t), psi, t * psi - 1.0], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -210,7 +232,7 @@ def get_sampler(name):
 def check_fisher_information(null):
     """Diagnostic quadrature of the location-scale Fisher integral.
 
-    Returns the value of ``integral (1 + t^2) (f'/f)^2 f dt`` and emits a
+    Returns the value of ``integral (1 + t^2) psi^2 f dt`` and emits a
     warning when the quadrature fails to converge or the value is not
     finite.  Never raises: finiteness is a precondition of the theory,
     not something this package enforces.
@@ -220,8 +242,7 @@ def check_fisher_information(null):
         f = null.pdf(t)
         if f <= 0.0:
             return 0.0
-        fp = null.pdf_derivative(t)
-        return (1.0 + t * t) * (fp / f) ** 2 * f
+        return (1.0 + t * t) * null.location_score(t) ** 2 * f
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

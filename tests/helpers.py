@@ -34,14 +34,20 @@ def xi_oracle(z, null, t_points, sides):
     G0 is accumulated by adaptive quadrature over segments between the
     sorted points where it is needed, starting from the 1e-12 quantile.
     Only the Gaussian null is supported (its closed-form tail matrix is
-    itself validated against quadrature elsewhere).
+    itself validated against quadrature elsewhere); its score
+    ``(1, y, y^2 - 1)`` is written out here rather than taken from the
+    production ``score_h`` this oracle checks.
     """
     z = np.sort(np.asarray(z, dtype=float))
     n = len(z)
     t0 = float(z[int(np.ceil(0.99 * n)) - 1])
 
+    def gaussian_h(y):
+        y = np.asarray(y, dtype=float)
+        return np.stack([np.ones_like(y), y, y * y - 1.0], axis=-1)
+
     def integrand(y):
-        h = score_h(null, y)
+        h = gaussian_h(y)
         return np.linalg.solve(gamma_closed_form_gaussian(y), h) * float(null.pdf(y))
 
     needed = np.unique(np.concatenate([z[z <= t0], np.asarray(t_points, float)]))
@@ -58,7 +64,7 @@ def xi_oracle(z, null, t_points, sides):
         table[float(u)] = acc.copy()
         prev = float(u)
 
-    h_at_z = score_h(null, z)
+    h_at_z = gaussian_h(z)
     out = []
     for t, side in zip(t_points, sides):
         idx = int(np.searchsorted(z, t, side=side))
@@ -71,14 +77,14 @@ def xi_oracle(z, null, t_points, sides):
     return np.array(out), t0
 
 
-def xi_production_at(z, null, gamma, scan_grid, t_points, sides):
+def xi_production_at(z, null, scan_grid, t_points, sides):
     """Production-path process values at chosen points and sides."""
     from indirgof.khmaladze import build_scan
 
     z = np.sort(np.asarray(z, dtype=float))
     n = len(z)
     t0 = float(z[int(np.ceil(0.99 * n)) - 1])
-    scan = build_scan(null, gamma, t0, scan_grid)
+    scan = build_scan(null, t0, scan_grid)
     h = score_h(null, z)
     g_at = scan(np.minimum(z, t0))
     pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at, h))])

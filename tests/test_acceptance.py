@@ -113,7 +113,6 @@ def test_criterion_3_exact_residual_identity(announce):
 
 def test_criterion_4_brute_force_oracle(announce):
     null = gaussian_null()
-    gamma = ig.gamma_provider_for(null)
     rng = np.random.default_rng(271828)
     worst = 0.0
     for case in range(20):
@@ -123,7 +122,7 @@ def test_criterion_4_brute_force_oracle(announce):
         t0 = float(np.sort(z)[int(np.ceil(0.99 * n)) - 1])
         pts, sides = oracle_points_for(z, t0)
         oracle_vals, _ = xi_oracle(z, null, pts, sides)
-        prod_vals, _ = xi_production_at(z, null, gamma, 4096, pts, sides)
+        prod_vals, _ = xi_production_at(z, null, 4096, pts, sides)
         worst = max(worst, float(np.max(np.abs(prod_vals - oracle_vals))))
     ok = worst < 1e-4
     announce(4, ok,

@@ -194,11 +194,11 @@ class TestTestCommand:
                    "--trace-out", str(trace), "--qq-out", str(qq)])
         assert rc == 0
         report = json.loads(out.read_text())
-        for key in ("schema_version", "statistic", "t0", "q_alpha", "alpha",
-                    "reject", "n", "sigma_hat", "chosen_radius", "seed",
+        for key in ("schema_version", "statistic", "p_value", "t0", "q_alpha",
+                    "alpha", "reject", "n", "sigma_hat", "chosen_radius", "seed",
                     "cv", "ks_diagnostic"):
             assert key in report
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["n"] == 120
         assert report["seed"] == 9
         assert len(qq.read_text().strip().splitlines()) == 121
@@ -220,6 +220,18 @@ class TestTestCommand:
             assert rc == 0
             accepted += not json.loads(out.read_text())["reject"]
         assert accepted >= 90
+
+    def test_gross_outlier_rejects(self, tmp_path):
+        # the largest standardized residual is 44.5, where the Gaussian
+        # density underflows to zero
+        data = generate(paper_model("normal", "uniform"), 2000,
+                        np.random.default_rng(0))
+        data.y[0] += 400.0
+        src = tmp_path / "d.csv"
+        write_dataset_csv(data, src)
+        out = tmp_path / "r.json"
+        assert main(["test", str(src), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["reject"] is True
 
     def test_error_json_on_failure(self, tmp_path):
         err = tmp_path / "err.json"

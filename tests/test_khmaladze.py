@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from indirgof.bandwidth import cv_select, default_radius_grid
 from indirgof.errors import InsufficientDataError, SingularMatrixError
 from indirgof.estimation import Dataset, fit
 from indirgof.khmaladze import (
@@ -15,14 +16,21 @@ from indirgof.khmaladze import (
     build_scan,
     decide,
     gamma_closed_form_gaussian,
-    gamma_provider_for,
     gamma_quadrature,
     statistic,
+    tail_matrices,
     transform,
     transform_standardized,
 )
 from indirgof.nulls import gaussian_null, score_h, student_t_null
-from indirgof.simulation import THETA_COEFFS, IdentityPsi, SyntheticModel, power_study
+from indirgof.simulation import (
+    THETA_COEFFS,
+    IdentityPsi,
+    SyntheticModel,
+    generate,
+    paper_model,
+    power_study,
+)
 from indirgof.nulls import ErrorSampler
 from indirgof.spectral import enumerate_lattice
 
@@ -34,7 +42,6 @@ from helpers import (
 )
 
 NULL = gaussian_null()
-GAMMA = gamma_provider_for(NULL)
 
 
 class TestGammaClosedForm:
@@ -82,29 +89,29 @@ class TestGammaClosedForm:
             assert np.linalg.eigvalsh(g)[0] > 0.0
 
 
-class TestGammaQuadratureProvider:
+class TestTailMatrices:
     def test_grid_matches_pointwise(self):
         null = student_t_null()
-        provider = gamma_provider_for(null)
-        assert provider.mode == "quadrature"
         grid = np.linspace(-3.0, 2.0, 257)
-        on_grid = provider.matrix_on_grid(grid)
+        on_grid = tail_matrices(null, grid)
         for idx in (0, 64, 128, 200, 256):
             pointwise = gamma_quadrature(null, grid[idx])
             assert np.max(np.abs(on_grid[idx] - pointwise)) < 1e-8
 
     def test_gaussian_uses_closed_form(self):
-        assert GAMMA.mode == "gaussian-closed-form"
+        grid = np.linspace(-5.0, 3.0, 129)
+        assert_allclose(tail_matrices(NULL, grid), gamma_closed_form_gaussian(grid),
+                        rtol=0, atol=0)
 
 
 class TestBuildScan:
     def test_zero_at_lower_end(self):
-        scan = build_scan(NULL, GAMMA, 2.0, 512)
+        scan = build_scan(NULL, 2.0, 512)
         assert_allclose(scan.values[0], np.zeros(3))
         assert scan(np.array([scan.grid[0] - 5.0]))[0] == pytest.approx(0.0)
 
     def test_derivative_matches_integrand(self):
-        scan = build_scan(NULL, GAMMA, 1.0, 4096)
+        scan = build_scan(NULL, 1.0, 4096)
         i = int(np.searchsorted(scan.grid, 0.0))
         lo, hi = scan.grid[i], scan.grid[i + 1]
         mid = 0.5 * (lo + hi)
@@ -118,8 +125,8 @@ class TestBuildScan:
     def test_halving_self_consistency(self):
         # relative per component: the accumulated values are O(100), so a
         # relative criterion is the meaningful Richardson check
-        coarse = build_scan(NULL, GAMMA, 2.4, 4096)
-        fine = build_scan(NULL, GAMMA, 2.4, 8191)  # exactly half the step
+        coarse = build_scan(NULL, 2.4, 4096)
+        fine = build_scan(NULL, 2.4, 8191)  # exactly half the step
         rel = np.abs(coarse.values[-1] - fine.values[-1]) / np.maximum(
             1.0, np.abs(fine.values[-1])
         )
@@ -127,11 +134,11 @@ class TestBuildScan:
 
     def test_singularity_reported_with_location(self):
         with pytest.raises(SingularMatrixError, match="t="):
-            build_scan(NULL, GAMMA, 12.0, 512)
+            build_scan(NULL, 12.0, 512)
 
     def test_infinite_t0_rejected(self):
         with pytest.raises(ValueError):
-            build_scan(NULL, GAMMA, math.inf, 512)
+            build_scan(NULL, math.inf, 512)
 
 
 class _StubFit:
@@ -159,20 +166,20 @@ class TestStatistic:
 class TestTransform:
     def test_smoke_quantile_residuals(self):
         z = NULL.quantile((np.arange(1, 11) - 0.5) / 10.0)
-        trace = transform_standardized(z, NULL, GAMMA)
+        trace = transform_standardized(z, NULL)
         f_t0 = np.searchsorted(np.sort(z), trace.t0, side="right") / 10.0
         t_stat = float(np.max(np.abs(trace.values)) / math.sqrt(f_t0))
         assert np.isfinite(t_stat) and t_stat > 0.0
 
     def test_needs_ten_residuals(self):
         with pytest.raises(InsufficientDataError):
-            transform_standardized(np.linspace(-1, 1, 9), NULL, GAMMA)
+            transform_standardized(np.linspace(-1, 1, 9), NULL)
 
     def test_deterministic(self):
         rng = np.random.default_rng(55)
         z = rng.standard_normal(40)
-        a = transform_standardized(z, NULL, GAMMA)
-        b = transform_standardized(z.copy(), NULL, GAMMA)
+        a = transform_standardized(z, NULL)
+        b = transform_standardized(z.copy(), NULL)
         assert_allclose(a.eval_points, b.eval_points)
         assert_allclose(a.values, b.values)
         assert a.t0 == b.t0
@@ -180,13 +187,13 @@ class TestTransform:
     def test_t0_is_99th_percentile_order_statistic(self):
         rng = np.random.default_rng(56)
         z = rng.standard_normal(200)
-        trace = transform_standardized(z, NULL, GAMMA)
+        trace = transform_standardized(z, NULL)
         assert trace.t0 == float(np.sort(z)[197])  # ceil(0.99 * 200) = 198
 
     def test_eval_points_do_not_exceed_t0(self):
         rng = np.random.default_rng(57)
         z = rng.standard_normal(60)
-        trace = transform_standardized(z, NULL, GAMMA)
+        trace = transform_standardized(z, NULL)
         assert np.max(trace.eval_points) <= trace.t0 + 1e-12
 
     @pytest.mark.parametrize("seed,n", [(1, 12), (2, 25), (3, 30)])
@@ -197,11 +204,11 @@ class TestTransform:
         t0 = float(np.sort(z)[int(np.ceil(0.99 * n)) - 1])
         pts, sides = oracle_points_for(z, t0)
         oracle_vals, _ = xi_oracle(z, NULL, pts, sides)
-        prod_vals, _ = xi_production_at(z, NULL, GAMMA, 4096, pts, sides)
+        prod_vals, _ = xi_production_at(z, NULL, 4096, pts, sides)
         assert np.max(np.abs(prod_vals - oracle_vals)) < 1e-4
 
     def test_generic_null_path(self):
-        # quadrature-mode provider end to end on the Student t null
+        # quadrature tail matrices end to end on the Student t null
         rng = np.random.default_rng(58)
         null = student_t_null(6.0)
         z = rng.standard_t(6.0, 60)
@@ -293,8 +300,9 @@ class TestDecide:
         assert report.chosen_radius == 2.0
         assert report.null_name == "gaussian"
         assert 0.0 <= report.ks_diagnostic <= 1.0
+        assert report.p_value == brownian_sup_tail(report.statistic)
         payload = report.to_dict()
-        for key in ("statistic", "t0", "q_alpha", "alpha", "reject", "n",
+        for key in ("statistic", "p_value", "t0", "q_alpha", "alpha", "reject", "n",
                     "sigma_hat", "chosen_radius", "ks_diagnostic"):
             assert key in payload
 
@@ -341,6 +349,54 @@ class TestDecide:
         s2 = decide(f2, NULL, 0.05).statistic
         assert s2 == pytest.approx(s1, rel=1e-10)
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120),
+           scale=st.floats(1e-3, 1e3))
+    def test_scale_invariance_property(self, seed, n, scale):
+        model = SyntheticModel(
+            theta_coeffs=THETA_COEFFS,
+            psi_coeffs=IdentityPsi(),
+            covariate_law="uniform",
+            error_sampler=ErrorSampler("normal", "normal", (0.5,)),
+        )
+        data = generate(model, n, np.random.default_rng(seed))
+        lat = enumerate_lattice(data.m, 2)
+        z1 = fit(data, lat).z
+        z2 = fit(Dataset(x=data.x, y=scale * data.y), lat).z
+        assert_allclose(z2, z1, rtol=0, atol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 80),
+           error=st.sampled_from(["normal", "laplace", "student-t"]),
+           null=st.sampled_from([NULL, student_t_null()]),
+           alpha=st.floats(1e-3, 0.999))
+    def test_p_value_agrees_with_reject(self, seed, n, error, null, alpha):
+        data = generate(paper_model(error), n, np.random.default_rng(seed))
+        report = decide(fit(data, enumerate_lattice(data.m, 1)), null, alpha)
+        assert 0.0 <= report.p_value <= 1.0
+        if abs(report.statistic - report.q_alpha) > 1e-6:
+            assert (report.p_value < alpha) == report.reject
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 80),
+           error=st.sampled_from(["normal", "laplace", "student-t"]),
+           alphas=st.lists(st.floats(1e-3, 0.999), min_size=2, max_size=2))
+    def test_decision_monotone_in_alpha(self, seed, n, error, alphas):
+        lo, hi = sorted(alphas)
+        data = generate(paper_model(error), n, np.random.default_rng(seed))
+        fitted = fit(data, enumerate_lattice(data.m, 1))
+        assert decide(fitted, NULL, lo).reject <= decide(fitted, NULL, hi).reject
+
+    def test_gross_outlier_rejects(self):
+        # one response shifted by +400 puts the largest z at 44.5, where
+        # the Gaussian density underflows to zero
+        data = generate(paper_model("normal"), 2000, np.random.default_rng(0))
+        data.y[0] += 400.0
+        radius = cv_select(data, default_radius_grid(data.n, data.m)).chosen
+        report = decide(fit(data, enumerate_lattice(data.m, radius)), NULL, 0.05)
+        assert report.reject
+        assert np.isfinite(report.statistic)
+
 
 class TestNullCalibration:
     def test_known_regression_level(self):
@@ -352,7 +408,7 @@ class TestNullCalibration:
         for _ in range(reps):
             eps = rng.standard_normal(n)
             z = eps / np.sqrt(np.mean(eps**2))
-            trace = transform_standardized(z, NULL, GAMMA)
+            trace = transform_standardized(z, NULL)
             f_t0 = np.searchsorted(np.sort(z), trace.t0, side="right") / n
             rejections += float(np.max(np.abs(trace.values)) / math.sqrt(f_t0)) > q
         rate = rejections / reps

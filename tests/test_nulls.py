@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from indirgof.errors import EvaluationRangeError
 from indirgof.nulls import (
     student_t_null,
     alternative_samplers,
@@ -22,7 +21,10 @@ class TestGaussianNull:
         null = gaussian_null()
         assert null.cdf(0.0) == pytest.approx(0.5)
         assert null.pdf(0.0) == pytest.approx(0.3989423, abs=5e-8)
-        assert null.pdf_derivative(1.0) == pytest.approx(-0.2419707, abs=5e-8)
+        # -f'(1) = psi(1) f(1) = phi(1)
+        assert null.location_score(1.0) * null.pdf(1.0) == pytest.approx(
+            0.2419707, abs=5e-8
+        )
 
     def test_quantile_inverts_cdf(self):
         null = gaussian_null()
@@ -70,16 +72,24 @@ class TestScore:
         ts = np.linspace(-4.0, 4.0, 161)
         eps = 1e-6
         log_f = lambda t: np.log(null.pdf(t))
-        fd = -(log_f(ts + eps) - log_f(ts - eps)) / (2 * eps)
-        assert np.max(np.abs(score_h(null, ts)[:, 1] - fd)) < 1e-6
+        slope = (log_f(ts + eps) - log_f(ts - eps)) / (2 * eps)   # f'/f
+        h = score_h(null, ts)
+        assert np.max(np.abs(h[:, 1] + slope)) < 1e-6
+        assert np.max(np.abs(h[:, 2] + (1.0 + ts * slope))) < 1e-5
 
     def test_vector_shape(self):
         h = score_h(gaussian_null(), np.zeros((4, 5)))
         assert h.shape == (4, 5, 3)
 
-    def test_underflow_raises(self):
-        with pytest.raises(EvaluationRangeError):
-            score_h(gaussian_null(), 40.0)
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_finite_where_density_underflows(self, null_factory):
+        # the Gaussian density underflows near |t| = 38; the score must not
+        h = score_h(null_factory(), np.array([40.0, 1e3, -1e3]))
+        assert np.all(np.isfinite(h))
+
+    def test_gaussian_far_tail_value(self):
+        assert_allclose(score_h(gaussian_null(), 40.0), [1.0, 40.0, 1599.0],
+                        rtol=0, atol=0)
 
 
 class TestSamplers:
