@@ -23,6 +23,7 @@ from .khmaladze import (
     ProcessTrace,
     ScanFunction,
     TestReport,
+    brownian_sup_log10_tail,
     brownian_sup_quantile,
     brownian_sup_tail,
     build_scan,

@@ -1,11 +1,17 @@
 """Leave-one-out cross-validation over a grid of cutoff radii.
 
-For each candidate radius the score is the mean squared leave-one-out
-prediction error, where leaving out observation j removes it from both
-the density estimate and the coefficient sums (all sums over i != j,
-normalized by n - 1).  The held-out prediction is computed by an exact
-incremental identity on the full pairwise weight matrix; it reproduces a
-from-scratch refit to rounding and is validated against one in the tests.
+The score of a radius is the mean squared leave-one-out prediction error;
+leaving out observation j removes it from both the density estimate and
+the coefficient sums (sums over i != j, normalized by n - 1).  With
+pairwise weights W and row sums rs this is the exact identity
+pred_j = sum_{i != j} y_i W_ij / max(rs_i - W_ij, floor (n - 1)).
+
+All radii are scored in one blocked pass over nested shells: sorted by
+norm, the upper half of the largest lattice makes each smaller lattice a
+column prefix.  With Z the sqrt(2)-scaled cos/sin phases, W_ij = 1 + Z_i.Z_j
+and rs costs O(nN).  Each block of 32 rows adds one shell per radius and
+sums its held-out terms while in cache, in O(32 n) working memory with no
+n x n matrix; W_jj is the lattice size, so the i = j term is closed-form.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,12 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .estimation import DEFAULT_DENSITY_FLOOR
-from .spectral import enumerate_lattice, weight_matrix
+from .spectral import enumerate_lattice
+
+_BLOCK_ROWS = 32
+#: OpenBLAS runs products of at most 2**19 multiply-adds on one thread; block
+#: products stalled ~16 ms when threaded, so each is cut into column pieces that size.
+_SERIAL_TERMS = 2**19
 
 
 @dataclass(frozen=True)
@@ -41,17 +52,38 @@ def default_radius_grid(n, m):
     return list(range(1, r_max + 1))
 
 
+def _prefix_scores(data, ph, prefixes, floor):
+    """Leave-one-out scores of the lattices ``{0} u +-k`` over prefixes of k.
+
+    ``ph`` holds the phases of one k of each +-k pair, ordered so that every
+    lattice is a column prefix; ``prefixes`` are distinct ascending counts.
+    """
+    n, y, lo = data.n, data.y, floor * (data.n - 1)
+    z = np.sqrt(2.0) * np.stack([np.cos(ph), np.sin(ph)], axis=2).reshape(n, -1)
+    shells = [(2 * a, 2 * b) for a, b in zip([0, *prefixes], prefixes)]
+    total = z.sum(axis=0)
+    row_sums = n + np.cumsum([z[:, a:b] @ total[a:b] for a, b in shells], axis=0)
+    colsum = np.zeros((len(shells), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        w = np.ones((rows.stop - start, n))
+        tmp = np.empty_like(w)
+        for r, (a, b) in enumerate(shells):
+            step = max(1, _SERIAL_TERMS // (_BLOCK_ROWS * max(b - a, 1)))
+            for c in range(0, n, step):
+                w[:, c:c + step] += z[rows, a:b] @ z[c:c + step, a:b].T
+            np.subtract(row_sums[r, rows, None], w, out=tmp)
+            np.maximum(tmp, lo, out=tmp)
+            colsum[r] += y[rows] @ np.divide(w, tmp, out=tmp)
+    sizes = 2.0 * np.array(prefixes)[:, None] + 1.0
+    pred = colsum - y * sizes / np.maximum(row_sums - sizes, lo)
+    return np.mean((y - pred) ** 2, axis=1)
+
+
 def loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """Mean squared leave-one-out prediction error for one lattice."""
-    n = data.n
-    wmat = weight_matrix(lattice, data.x)
-    row_sums = wmat.sum(axis=1)
-    # g_minus[i, j] = density estimate without observation j, at x_i.
-    g_minus = (row_sums[:, None] - wmat) / (n - 1)
-    np.maximum(g_minus, floor, out=g_minus)
-    contrib = (data.y[:, None] / g_minus) * wmat
-    pred = (contrib.sum(axis=0) - np.diagonal(contrib)) / (n - 1)
-    return float(np.mean((data.y - pred) ** 2))
+    ph = lattice.phases(data.x)[:, lattice.zero_position + 1:]
+    return float(_prefix_scores(data, ph, [ph.shape[1]], floor)[0])
 
 
 def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
@@ -68,8 +100,8 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
     Returns
     -------
     CvReport
-        All (radius, score) pairs and the argmin; ties break toward the
-        smaller radius.
+        All (radius, score) pairs in the given order and the argmin; ties
+        break toward the smaller radius.
     """
     if data.n < 3:
         raise InsufficientDataError(
@@ -78,9 +110,17 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("candidate radius grid is empty")
-    scored = []
     for radius in radii:
-        lattice = enumerate_lattice(data.m, radius)
-        scored.append((radius, loo_score(data, lattice, floor)))
+        if not radius > 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+    lattice = enumerate_lattice(data.m, max(radii))
+    upper = lattice.zero_position + 1
+    norms = np.sum(lattice.indices[upper:] ** 2, axis=1)
+    order = np.argsort(norms, kind="stable")
+    counts = np.searchsorted(norms[order], np.square(radii), side="right")
+    prefixes, which = np.unique(counts, return_inverse=True)
+    ph = lattice.phases(data.x)[:, upper:][:, order]
+    scores = _prefix_scores(data, ph, prefixes.tolist(), floor)
+    scored = [(r, float(scores[k])) for r, k in zip(radii, which)]
     chosen = min(scored, key=lambda rs: (rs[1], rs[0]))[0]
     return CvReport(candidates=tuple(scored), chosen=chosen)

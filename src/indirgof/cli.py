@@ -22,7 +22,7 @@ from .nulls import get_null, get_sampler
 from .simulation import paper_model, power_study
 from .spectral import enumerate_lattice
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

@@ -66,20 +66,34 @@ class Dataset:
         return self.x.shape[1]
 
 
-def _mirrored_coeffs(phases, values, zero_value):
-    """Mean of ``values * exp(-i * phases)`` per lattice column.
+def _upper_trig(lattice, x, density=None):
+    """cos and sin of ``2 pi k.x`` over the upper half of the lattice.
+
+    Reuses the pair that ``density`` was estimated from when it belongs
+    to the same lattice and the same array of points, so one fit forms
+    its phase matrix once.
+    """
+    if density is not None:
+        own_lattice, own_x, trig = density._sample
+        if own_lattice is lattice and own_x is x:
+            return trig
+    ph = lattice.phases(x)[:, lattice.zero_position + 1:]
+    return np.cos(ph), np.sin(ph)
+
+
+def _mirrored_coeffs(trig, values, zero_value):
+    """Mean of ``values * exp(-i 2 pi k.x)`` for every lattice index.
 
     Computes only the upper (lexicographically positive) half of the
-    lattice and mirrors the conjugates, so the conjugate symmetry
-    ``coeff(-k) == conj(coeff(k))`` holds exactly and the zero-frequency
-    coefficient is the supplied exact value.
+    lattice from its cos/sin pair and mirrors the conjugates, so the
+    conjugate symmetry ``coeff(-k) == conj(coeff(k))`` holds exactly and
+    the zero-frequency coefficient is the supplied exact value.
     """
-    n_idx = phases.shape[1]
-    mid = (n_idx - 1) // 2
-    ph_up = phases[:, mid + 1:]
-    re = values @ np.cos(ph_up) / len(values)
-    im = -(values @ np.sin(ph_up)) / len(values)
-    coeffs = np.empty(n_idx, dtype=complex)
+    cos_up, sin_up = trig
+    mid = cos_up.shape[1]
+    re = values @ cos_up / len(values)
+    im = -(values @ sin_up) / len(values)
+    coeffs = np.empty(2 * mid + 1, dtype=complex)
     upper = re + 1j * im
     coeffs[mid + 1:] = upper
     coeffs[mid] = zero_value
@@ -87,10 +101,16 @@ def _mirrored_coeffs(phases, values, zero_value):
     return coeffs
 
 
-def _eval_series(lattice, coeffs, x):
-    """Real part of ``sum_k coeffs_k * exp(i 2 pi k.x)``."""
-    ph = lattice.phases(np.atleast_2d(np.asarray(x, dtype=float)))
-    return np.cos(ph) @ coeffs.real - np.sin(ph) @ coeffs.imag
+def _eval_series(trig, coeffs):
+    """Real part of ``sum_k coeffs_k * exp(i 2 pi k.x)`` at the points of ``trig``.
+
+    For conjugate-symmetric ``coeffs`` this is the zero-frequency term plus
+    twice the real part of the upper half.
+    """
+    cos_up, sin_up = trig
+    mid = cos_up.shape[1]
+    upper = coeffs[mid + 1:]
+    return coeffs[mid].real + 2.0 * (cos_up @ upper.real - sin_up @ upper.imag)
 
 
 @dataclass(frozen=True)
@@ -106,12 +126,15 @@ class DensityEstimate:
     lattice: FreqLattice
     coeffs: np.ndarray = field(repr=False)
     floor: float
+    # (lattice, x, cos/sin pair) of the sample the estimate was built from;
+    # evaluating at that very array reuses the pair
+    _sample: tuple = field(default=(None, None, None), repr=False, compare=False)
 
     def evaluate(self, x, clamped=True):
         """Density value(s) at ``x``; shape follows the input points."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        vals = _eval_series(self.lattice, self.coeffs, x)
+        vals = _eval_series(_upper_trig(self.lattice, np.atleast_2d(x), self), self.coeffs)
         if clamped:
             vals = np.maximum(vals, self.floor)
         return float(vals[0]) if single else vals
@@ -133,10 +156,10 @@ def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """
     if not floor > 0:
         raise ValueError(f"density floor must be positive, got {floor}")
-    ph = lattice.phases(data.x)
-    ones = np.ones(data.n)
-    coeffs = _mirrored_coeffs(ph, ones, 1.0 + 0.0j)
-    return DensityEstimate(lattice=lattice, coeffs=coeffs, floor=float(floor))
+    trig = _upper_trig(lattice, data.x)
+    coeffs = _mirrored_coeffs(trig, np.ones(data.n), 1.0 + 0.0j)
+    return DensityEstimate(lattice=lattice, coeffs=coeffs, floor=float(floor),
+                           _sample=(lattice, data.x, trig))
 
 
 def estimate_coeffs(data, density, lattice):
@@ -148,10 +171,9 @@ def estimate_coeffs(data, density, lattice):
     clamp so no term divides by a value at or below zero.  Conjugate
     symmetry ``rhat(-k) == conj(rhat(k))`` holds exactly.
     """
-    g = density.evaluate(data.x)
-    ratios = data.y / g
-    ph = lattice.phases(data.x)
-    return _mirrored_coeffs(ph, ratios, np.mean(ratios) + 0.0j)
+    ratios = data.y / density.evaluate(data.x)
+    trig = _upper_trig(lattice, data.x, density)
+    return _mirrored_coeffs(trig, ratios, np.mean(ratios) + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -179,7 +201,7 @@ class RegressionFit:
         """Fitted surface at arbitrary points via the coefficient form."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        vals = _eval_series(self.lattice, self.rhat, x)
+        vals = _eval_series(_upper_trig(self.lattice, np.atleast_2d(x)), self.rhat)
         return float(vals[0]) if single else vals
 
     def ecdf(self, t):
@@ -199,7 +221,7 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """
     density = estimate_density(data, lattice, floor)
     rhat = estimate_coeffs(data, density, lattice)
-    residuals = data.y - _eval_series(lattice, rhat, data.x)
+    residuals = data.y - _eval_series(_upper_trig(lattice, data.x, density), rhat)
     sigma_hat = float(np.sqrt(np.mean(residuals**2)))
     if sigma_hat <= 1e-13 * (1.0 + float(np.mean(np.abs(data.y)))):
         raise DegenerateFitError(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad_vec
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import InsufficientDataError, QuadratureError, SingularMatrixError
 from .nulls import check_fisher_information, score_h
@@ -290,6 +290,22 @@ def brownian_sup_tail(q):
     return 1.0 - (4.0 / math.pi) * total
 
 
+def brownian_sup_log10_tail(q):
+    """log10 P(sup_{0<=s<=1} |B(s)| > q), finite where the tail underflows.
+
+    For q >= 1 the reflection series is summed relative to its leading
+    term on a log scale,
+    log P = log 4 + log Phibar(q) + log1p(sum_{k=1..4} (-1)^k Phibar((2k+1) q) / Phibar(q)),
+    so gross departures keep their digits; below 1 the tail exceeds 0.6.
+    """
+    if q < 1.0:
+        return math.log10(brownian_sup_tail(q))
+    lead = float(log_ndtr(-q))
+    rest = sum((-1) ** k * math.exp(float(log_ndtr(-(2 * k + 1) * q)) - lead)
+               for k in range(1, 5))
+    return (math.log(4.0) + lead + math.log1p(rest)) / math.log(10.0)
+
+
 def brownian_sup_quantile(alpha):
     """Upper alpha-quantile of sup |B| on [0, 1], accurate to 1e-6.
 
@@ -316,6 +332,7 @@ class TestReport:
 
     statistic: float
     p_value: float
+    log10_p_value: float
     t0: float
     f_hat_t0: float
     alpha: float
@@ -332,6 +349,7 @@ class TestReport:
         return {
             "statistic": self.statistic,
             "p_value": self.p_value,
+            "log10_p_value": self.log10_p_value,
             "t0": self.t0,
             "f_hat_t0": self.f_hat_t0,
             "alpha": self.alpha,
@@ -361,6 +379,7 @@ def decide(regression_fit, null, alpha, *, scan_grid=DEFAULT_SCAN_GRID):
     return TestReport(
         statistic=t_stat,
         p_value=brownian_sup_tail(t_stat),
+        log10_p_value=brownian_sup_log10_tail(t_stat),
         t0=trace.t0,
         f_hat_t0=float(regression_fit.ecdf(trace.t0)),
         alpha=float(alpha),

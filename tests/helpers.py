@@ -4,8 +4,9 @@ Everything here deliberately avoids the production code paths it is used
 to check: the transformed process is evaluated by a direct double sum
 with adaptive quadrature, the Brownian supremum law comes from the
 reflection (inclusion-exclusion) series, leave-one-out predictions
-come from literal refits on reduced datasets, and the smoothing weight
-function is a plain cosine sum over the lattice.
+come from literal refits on reduced datasets, leave-one-out scores from
+the full n x n weight matrix one radius at a time, and the smoothing
+weight function is a plain cosine sum over the lattice.
 """
 
 import math
@@ -14,9 +15,15 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.special import ndtr
 
-from indirgof.estimation import Dataset, estimate_coeffs, estimate_density
+from indirgof.estimation import (
+    DEFAULT_DENSITY_FLOOR,
+    Dataset,
+    estimate_coeffs,
+    estimate_density,
+)
 from indirgof.khmaladze import gamma_closed_form_gaussian
 from indirgof.nulls import score_h
+from indirgof.spectral import weight_matrix
 
 
 def reflection_sup_cdf(x, terms=40):
@@ -106,6 +113,19 @@ def oracle_points_for(z, t0, extra=23):
     pts = np.concatenate([jumps, jumps, spread])
     sides = ["left"] * len(jumps) + ["right"] * (len(jumps) + extra)
     return pts, sides
+
+
+def dense_loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
+    """Mean squared leave-one-out prediction error for one lattice."""
+    n = data.n
+    wmat = weight_matrix(lattice, data.x)
+    row_sums = wmat.sum(axis=1)
+    # g_minus[i, j] = density estimate without observation j, at x_i.
+    g_minus = (row_sums[:, None] - wmat) / (n - 1)
+    np.maximum(g_minus, floor, out=g_minus)
+    contrib = (data.y[:, None] / g_minus) * wmat
+    pred = (contrib.sum(axis=0) - np.diagonal(contrib)) / (n - 1)
+    return float(np.mean((data.y - pred) ** 2))
 
 
 def refit_loo_prediction(data, lattice, floor, j):

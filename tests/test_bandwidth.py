@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from indirgof.bandwidth import cv_select, default_radius_grid, loo_score
-from indirgof.errors import InsufficientDataError
-from indirgof.estimation import Dataset
-from indirgof.spectral import enumerate_lattice
+from indirgof.errors import InsufficientDataError, LatticeCapError
+from indirgof.estimation import DEFAULT_DENSITY_FLOOR, Dataset
+from indirgof.simulation import generate, paper_model
+from indirgof.spectral import enumerate_lattice, weight_matrix
 
-from helpers import refit_loo_prediction
+from helpers import dense_loo_score, refit_loo_prediction
 
 
 def _uniform_data(rng, n, m=1, noise=0.3):
@@ -101,3 +104,70 @@ def test_default_grid_shape():
     assert default_radius_grid(100, 2) == [1, 2, 3]
     assert default_radius_grid(500, 2) == [1, 2, 3, 4]
     assert default_radius_grid(10, 4) == [1, 2]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 40, 257])
+def test_blocked_pass_matches_dense_oracle(m, n):
+    # a non-monotone grid with a duplicate lattice (1 and 1.4 in 1-D);
+    # 257 rows leave a partial last block
+    rng = np.random.default_rng(100 * m + n)
+    data = _uniform_data(rng, n, m=m)
+    report = cv_select(data, [3, 1, 1.4, 2])
+    for radius, score in report.candidates:
+        ref = dense_loo_score(data, enumerate_lattice(m, radius))
+        assert score == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_blocked_pass_matches_dense_oracle_under_active_floor(m):
+    # half the covariates in a tight cluster: the Dirichlet kernel's side
+    # lobes push the leave-one-out density below the floor (even below
+    # zero) at the sparse points, so the clamp decides some terms
+    rng = np.random.default_rng(31 + m)
+    n = 120
+    x = rng.random((n, m))
+    x[: n // 2] = np.clip(0.3 + 0.03 * rng.standard_normal((n // 2, m)), 0.0, 1.0)
+    y = np.cos(2.0 * np.pi * x[:, 0]) + 0.3 * rng.standard_normal(n)
+    data = Dataset(x=x, y=y)
+    report = cv_select(data, [1, 2, 3])
+    clamped = []
+    for radius, score in report.candidates:
+        lat = enumerate_lattice(m, radius)
+        wmat = weight_matrix(lat, x)
+        g_minus = (wmat.sum(axis=1)[:, None] - wmat) / (n - 1)
+        clamped.append(bool(np.any(g_minus < DEFAULT_DENSITY_FLOOR)))
+        assert score == pytest.approx(dense_loo_score(data, lat), rel=1e-12, abs=0.0)
+        assert loo_score(data, lat) == pytest.approx(score, rel=1e-12, abs=0.0)
+    assert all(clamped)
+
+
+def test_candidates_keep_caller_order():
+    rng = np.random.default_rng(28)
+    report = cv_select(_uniform_data(rng, 60, m=2), [3.0, 1.0, 2.5, 2.0])
+    assert [r for r, _ in report.candidates] == [3.0, 1.0, 2.5, 2.0]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_nonpositive_radius_rejected(bad):
+    rng = np.random.default_rng(29)
+    with pytest.raises(ValueError, match="positive"):
+        cv_select(_uniform_data(rng, 20), [1.0, bad, 2.0])
+
+
+def test_radius_over_lattice_cap_rejected():
+    rng = np.random.default_rng(30)
+    with pytest.raises(LatticeCapError):
+        cv_select(_uniform_data(rng, 20, m=2), [1.0, 2005.0])
+
+
+def test_peak_allocation_stays_linear_in_n():
+    # one n x n float matrix at n = 2000 alone is 32 MB
+    data = generate(paper_model("normal", "uniform"), 2000, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        cv_select(data, default_radius_grid(data.n, data.m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -194,11 +194,11 @@ class TestTestCommand:
                    "--trace-out", str(trace), "--qq-out", str(qq)])
         assert rc == 0
         report = json.loads(out.read_text())
-        for key in ("schema_version", "statistic", "p_value", "t0", "q_alpha",
-                    "alpha", "reject", "n", "sigma_hat", "chosen_radius", "seed",
-                    "cv", "ks_diagnostic"):
+        for key in ("schema_version", "statistic", "p_value", "log10_p_value",
+                    "t0", "q_alpha", "alpha", "reject", "n", "sigma_hat",
+                    "chosen_radius", "seed", "cv", "ks_diagnostic"):
             assert key in report
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["n"] == 120
         assert report["seed"] == 9
         assert len(qq.read_text().strip().splitlines()) == 121

@@ -18,7 +18,7 @@ from indirgof.simulation import (
     ktheta_true,
     paper_model,
 )
-from indirgof.spectral import enumerate_lattice, weight_matrix
+from indirgof.spectral import FreqLattice, enumerate_lattice, weight_matrix
 
 
 class TestDataset:
@@ -170,6 +170,26 @@ class TestFit:
         ratios = data.y / f.density.evaluate(data.x)
         direct = weight_matrix(lat, data.x) @ ratios / data.n
         assert_allclose(data.y - f.residuals, direct, atol=1e-9)
+
+    def test_fit_forms_phases_once(self, monkeypatch):
+        calls = []
+        phases = FreqLattice.phases
+
+        def counted(lattice, x):
+            calls.append(len(x))
+            return phases(lattice, x)
+
+        monkeypatch.setattr(FreqLattice, "phases", counted)
+        rng = np.random.default_rng(18)
+        for m in (1, 2):
+            data = Dataset(x=rng.random((70, m)), y=rng.normal(size=70))
+            calls.clear()
+            f = fit(data, enumerate_lattice(m, 2))
+            assert calls == [70]
+            # evaluation elsewhere forms its own phases
+            f.predict(rng.random((4, m)))
+            f.density.evaluate(rng.random((3, m)))
+            assert calls == [70, 4, 3]
 
     def test_prediction_is_real(self):
         rng = np.random.default_rng(17)

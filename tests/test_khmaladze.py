@@ -11,6 +11,7 @@ from indirgof.errors import InsufficientDataError, SingularMatrixError
 from indirgof.estimation import Dataset, fit
 from indirgof.khmaladze import (
     ProcessTrace,
+    brownian_sup_log10_tail,
     brownian_sup_quantile,
     brownian_sup_tail,
     build_scan,
@@ -275,6 +276,35 @@ class TestBrownianQuantiles:
         with pytest.raises(ValueError):
             brownian_sup_quantile(1.0)
 
+    @pytest.mark.parametrize("q", [1.0, 1.3, 2.0, 2.2414, 3.0, 5.0, 10.0, 20.0,
+                                   37.0, 37.7, 38.0, 50.0, 112.9, 150.0, 200.0])
+    def test_log10_tail_matches_high_precision_series(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x = mpmath.mpf(q)
+            tail = 2 * sum((-1) ** k * mpmath.erfc((2 * k + 1) * x / mpmath.sqrt(2))
+                           for k in range(40))
+            ref = float(mpmath.log10(tail))
+        assert brownian_sup_log10_tail(q) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.8, 0.999, 1.0, 4.0, 30.0])
+    def test_log10_tail_is_log_of_tail_where_finite(self, q):
+        expected = math.log10(brownian_sup_tail(q))
+        assert brownian_sup_log10_tail(q) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("q, bits", [
+        (0.3, "0x1.ffffd06af0b57p-1"), (0.8, "0x1.a127f904e1e41p-1"),
+        (1.0, "0x1.422975f1d50c4p-1"), (2.2414, "0x1.999a571edb126p-5"),
+        (20.0, "0x1.c0bd0f18806a3p-293"), (37.0, "0x1.eaccc6bfeacdap-993")])
+    def test_tail_values_frozen(self, q, bits):
+        assert brownian_sup_tail(q) == float.fromhex(bits)
+
+    @pytest.mark.parametrize("alpha, bits", [
+        (0.01, "0x1.674ce1b8ad8aap+1"), (0.05, "0x1.1ee648b225708p+1"),
+        (0.1, "0x1.f5c0331d2b659p+0"), (1e-12, "0x1.ce6b4d01ee67ap+2")])
+    def test_quantile_values_frozen(self, alpha, bits):
+        assert brownian_sup_quantile(alpha) == float.fromhex(bits)
+
 
 def _null_dataset(rng, n=120):
     x = rng.random((n, 2))
@@ -396,6 +426,19 @@ class TestDecide:
         report = decide(fit(data, enumerate_lattice(data.m, radius)), NULL, 0.05)
         assert report.reject
         assert np.isfinite(report.statistic)
+
+    def test_gross_outlier_p_value_keeps_digits(self):
+        # the statistic is far past the point where the tail underflows
+        data = generate(paper_model("normal"), 2000, np.random.default_rng(0))
+        data.y[0] += 400.0
+        radius = cv_select(data, default_radius_grid(data.n, data.m)).chosen
+        report = decide(fit(data, enumerate_lattice(data.m, radius)), NULL, 0.05)
+        assert report.statistic == pytest.approx(112.9, abs=0.05)
+        assert report.p_value == 0.0
+        assert np.isfinite(report.log10_p_value)
+        assert report.log10_p_value < -2000.0
+        assert report.log10_p_value == brownian_sup_log10_tail(report.statistic)
+        assert report.to_dict()["log10_p_value"] == report.log10_p_value
 
 
 class TestNullCalibration:
