@@ -31,7 +31,6 @@ from .khmaladze import (
     gamma_closed_form_gaussian,
     gamma_quadrature,
     statistic,
-    tail_matrices,
     transform,
     transform_standardized,
 )

@@ -17,7 +17,7 @@ import numpy as np
 from .bandwidth import cv_select, default_radius_grid
 from .errors import DataFormatError, IndirgofError, InsufficientDataError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
-from .khmaladze import DEFAULT_SCAN_GRID, decide
+from .khmaladze import decide
 from .nulls import get_null, get_sampler
 from .simulation import paper_model, power_study
 from .spectral import enumerate_lattice
@@ -217,7 +217,6 @@ class RunConfig:
     cv_grid: list = None
     radius: float = None
     floor: float = DEFAULT_DENSITY_FLOOR
-    scan_grid: int = DEFAULT_SCAN_GRID
     seed: int = 0
     out: str = None
     trace_out: str = None
@@ -285,7 +284,7 @@ def _write_qq(config, fitted, null):
 def _run_test_on(data, config, caveats=()):
     null = get_null(config.null_name)
     cv_report, fitted = _select_and_fit(data, config)
-    report = decide(fitted, null, config.alpha, scan_grid=config.scan_grid)
+    report = decide(fitted, null, config.alpha)
     _write_report(config, report, cv_report, caveats)
     if config.trace_out:
         report.trace.to_csv(config.trace_out)
@@ -341,8 +340,7 @@ def _cmd_simulate(config):
                  for name in config.scenarios]
     table = power_study(
         scenarios, config.n_list, config.reps, config.alpha, config.seed,
-        cv_radii=config.cv_grid, floor=config.floor,
-        scan_grid=config.scan_grid, workers=config.workers,
+        cv_radii=config.cv_grid, floor=config.floor, workers=config.workers,
     )
     if config.out:
         table.to_csv(config.out)
@@ -444,7 +442,7 @@ def read_config_file(path):
 
 _CASTS = {
     "null_name": str, "alpha": float, "cv_grid": _float_list, "radius": float,
-    "floor": float, "scan_grid": int, "seed": int, "out": str,
+    "floor": float, "seed": int, "out": str,
     "trace_out": str, "qq_out": str, "error_json": str, "scenarios": _str_list,
     "design": str, "n_list": _int_list, "reps": int, "workers": int,
     "json_out": str, "grid_points": int, "residuals_out": str, "data_out": str,
@@ -461,7 +459,6 @@ def _add_common(parser):
     parser.add_argument("--cv-grid", dest="cv_grid", type=_float_list,
                         help="comma-separated candidate cutoff radii")
     parser.add_argument("--floor", type=float, help="density lower clamp")
-    parser.add_argument("--scan-grid", dest="scan_grid", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
     parser.add_argument("--error-json", dest="error_json",

@@ -28,10 +28,10 @@ from scipy.integrate import cumulative_trapezoid, quad_vec
 from scipy.special import log_ndtr, ndtr
 
 from .errors import InsufficientDataError, QuadratureError, SingularMatrixError
-from .nulls import check_fisher_information, score_h
+from .nulls import score_h
 from .nulls import gamma_closed_form_gaussian  # noqa: F401  (re-exported)
 
-#: Default number of scan-grid points for the accumulated integral G0.
+#: Number of scan-grid points for the accumulated integral G0.
 DEFAULT_SCAN_GRID = 4096
 
 #: Condition-number guard for inverting Gamma on the scan grid.
@@ -43,9 +43,11 @@ GAMMA_CONDITION_LIMIT = 1e12
 # ---------------------------------------------------------------------------
 
 def gamma_quadrature(null, t, tol=1e-9):
-    """Tail information matrix by adaptive quadrature.
+    """Tail information matrix by adaptive quadrature: the reference.
 
-    Integrates ``h(u) h(u)^T f(u)`` over ``(t, inf)`` to an absolute
+    The transform uses each null's closed-form ``tail_matrix``; this
+    independent quadrature is what those closed forms are checked against.
+    It integrates ``h(u) h(u)^T f(u)`` over ``(t, inf)`` to an absolute
     per-entry tolerance ``tol`` and symmetrizes the result by averaging.
     Raises :class:`QuadratureError` when the error estimate exceeds the
     tolerance or the result is not finite.
@@ -66,40 +68,6 @@ def gamma_quadrature(null, t, tol=1e-9):
             f"{null.name!r} failed (error estimate {err:.3e})"
         )
     return (result + result.T) * 0.5
-
-
-def _gl_panel_integrals(null, lo, hi, xg, wg):
-    half = 0.5 * (hi - lo)
-    ys = 0.5 * (lo + hi)[:, None] + half[:, None] * xg[None, :]
-    h = score_h(null, ys)                                   # (P, nodes, 3)
-    f = np.asarray(null.pdf(ys), dtype=float)
-    hht = h[..., :, None] * h[..., None, :]                 # (P, nodes, 3, 3)
-    return np.einsum("pn,pnij->pij", f * (half[:, None] * wg[None, :]), hht)
-
-
-def _gamma_panels(null, grid, nodes=8):
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    panel = _gl_panel_integrals(null, grid[:-1], grid[1:], xg, wg)
-    out = np.empty((len(grid), 3, 3))
-    out[-1] = gamma_quadrature(null, grid[-1])
-    out[:-1] = out[-1][None, :, :] + np.cumsum(panel[::-1], axis=0)[::-1]
-    return out
-
-
-def tail_matrices(null, grid):
-    """Tail information matrices at every grid point, shape ``(len(grid), 3, 3)``.
-
-    Uses the null's closed form when it has one.  Otherwise the
-    Fisher-information diagnostic runs first (it warns, never raises) and
-    one adaptive quadrature anchored at the top of the grid is accumulated
-    downward by exact Gauss-Legendre panel integrals, preserving adaptive
-    accuracy without one quadrature per grid point.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if null.tail_matrix is not None:
-        return null.tail_matrix(grid)
-    check_fisher_information(null)
-    return _gamma_panels(null, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +102,11 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
     Each grid point costs one symmetric 3x3 solve; a condition number
     above 1e12 (expected only as t -> +inf, excluded by the choice of
     t0) raises :class:`SingularMatrixError` naming the offending point.
+    A grid needs at least two points to reach ``t0``.
     """
+    grid_size = int(grid_size)
+    if grid_size < 2:
+        raise ValueError(f"scan grid needs at least 2 points, got {grid_size}")
     t0 = float(t0)
     if not np.isfinite(t0):
         raise ValueError("scan endpoint t0 must be finite")
@@ -143,8 +115,8 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
         raise ValueError(
             f"scan endpoint {t0} must exceed the lower integration point {t_lo}"
         )
-    grid = np.linspace(t_lo, t0, int(grid_size))
-    gam = tail_matrices(null, grid)
+    grid = np.linspace(t_lo, t0, grid_size)
+    gam = null.tail_matrix(grid)
     eigs = np.linalg.eigvalsh(gam)
     bad = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > GAMMA_CONDITION_LIMIT * eigs[:, 0])
     if np.any(bad):
@@ -187,7 +159,7 @@ class ProcessTrace:
                 fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-def transform_standardized(z, null, *, scan_grid=DEFAULT_SCAN_GRID):
+def transform_standardized(z, null):
     """Transformed empirical process of pre-standardized residuals.
 
     ``z`` is the array of standardized residuals (any order); the scan
@@ -202,7 +174,7 @@ def transform_standardized(z, null, *, scan_grid=DEFAULT_SCAN_GRID):
             f"the transform needs at least 10 residuals, got {n}"
         )
     t0 = float(z[int(np.ceil(0.99 * n)) - 1])
-    scan = build_scan(null, t0, scan_grid)
+    scan = build_scan(null, t0)
 
     h = score_h(null, z)                                    # (n, 3)
     g_at_z = scan(np.minimum(z, t0))
@@ -233,9 +205,9 @@ def transform_standardized(z, null, *, scan_grid=DEFAULT_SCAN_GRID):
     return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0, n=n)
 
 
-def transform(regression_fit, null, *, scan_grid=DEFAULT_SCAN_GRID):
+def transform(regression_fit, null):
     """Transformed empirical process of a fit's standardized residuals."""
-    return transform_standardized(regression_fit.z_sorted, null, scan_grid=scan_grid)
+    return transform_standardized(regression_fit.z_sorted, null)
 
 
 def statistic(trace, regression_fit):
@@ -309,17 +281,19 @@ def brownian_sup_log10_tail(q):
 def brownian_sup_quantile(alpha):
     """Upper alpha-quantile of sup |B| on [0, 1], accurate to 1e-6.
 
-    Bisection on (1e-6, 10], extending the bracket upward for the rare
-    alpha below the tail mass at 10.
+    Bisection of the log10 tail on (1e-6, 10], extending the bracket
+    upward for the rare alpha below the tail mass at 10; on the log scale
+    alpha below the underflow point of the tail keeps its quantile.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    log10_alpha = math.log10(alpha)
     lo, hi = 1e-6, 10.0
-    while brownian_sup_tail(hi) > alpha and hi < 1e6:
+    while brownian_sup_log10_tail(hi) > log10_alpha and hi < 1e6:
         hi *= 2.0
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
-        if brownian_sup_tail(mid) > alpha:
+        if brownian_sup_log10_tail(mid) > log10_alpha:
             lo = mid
         else:
             hi = mid
@@ -363,17 +337,17 @@ class TestReport:
         }
 
 
-def decide(regression_fit, null, alpha, *, scan_grid=DEFAULT_SCAN_GRID):
+def decide(regression_fit, null, alpha):
     """Run the full test on a fitted regression.
 
-    Builds the scan from the null's tail information matrices (closed
-    form for the Gaussian null, quadrature otherwise), the transformed
-    process and the supremum statistic, then compares against the
-    Brownian supremum quantile and reports the matching p-value.
+    Builds the scan from the null's closed-form tail information matrices
+    on the fixed ``DEFAULT_SCAN_GRID``-point grid, the transformed process
+    and the supremum statistic, then compares against the Brownian
+    supremum quantile and reports the matching p-value.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    trace = transform(regression_fit, null, scan_grid=scan_grid)
+    trace = transform(regression_fit, null)
     t_stat = statistic(trace, regression_fit)
     q_alpha = brownian_sup_quantile(alpha)
     return TestReport(

@@ -12,11 +12,12 @@ martingale transform.  It never divides by the density, so it stays
 finite far beyond the point where the density underflows.  Finite Fisher
 information for location and scale is a documented precondition;
 :func:`check_fisher_information` probes it by quadrature and warns, but
-nothing is enforced.
+nothing in the test calls it.
 
 The built-in nulls are the Gaussian and the unit-variance Student t.  Both
 have smooth scores, so the tail information matrix of the transform stays
-invertible at every finite point.  A law whose location score is piecewise
+invertible at every finite point, and both give that matrix in closed
+form.  A law whose location score is piecewise
 constant, such as the Laplace, makes that matrix singular beyond its kink
 and is not offered as a null; the Laplace remains an error sampler of the
 simulation study.
@@ -41,7 +42,7 @@ class NullModel:
 
     ``location_score`` is psi = -f'/f in closed form.  ``tail_matrix``
     evaluates the tail information matrix on an array of points in closed
-    form; ``None`` means it is computed by quadrature.
+    form, with shape ``t.shape + (3, 3)``.
     """
 
     name: str
@@ -49,7 +50,7 @@ class NullModel:
     pdf: Callable = field(repr=False)
     location_score: Callable = field(repr=False)
     quantile: Callable = field(repr=False)
-    tail_matrix: Callable | None = field(default=None, repr=False)
+    tail_matrix: Callable = field(repr=False)
 
     def sample(self, rng, size):
         """Draw by quantile transform of uniforms."""
@@ -65,6 +66,12 @@ def _norm_score(t):
     return np.asarray(t, dtype=float)
 
 
+def _symmetric(g00, g01, g02, g11, g12, g22):
+    """Symmetric 3x3 matrices, shape ``g00.shape + (3, 3)``, from their upper triangles."""
+    rows = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def gamma_closed_form_gaussian(t):
     """Closed-form tail information matrix of the standard normal null.
 
@@ -75,17 +82,8 @@ def gamma_closed_form_gaussian(t):
     t = np.asarray(t, dtype=float)
     phi = _norm_pdf(t)
     sf = ndtr(-t)
-    out = np.empty(t.shape + (3, 3))
-    out[..., 0, 0] = sf
-    out[..., 0, 1] = phi
-    out[..., 0, 2] = t * phi
-    out[..., 1, 1] = sf + t * phi
-    out[..., 1, 2] = (t * t + 1.0) * phi
-    out[..., 2, 2] = 2.0 * sf + (t**3 + t) * phi
-    out[..., 1, 0] = out[..., 0, 1]
-    out[..., 2, 0] = out[..., 0, 2]
-    out[..., 2, 1] = out[..., 1, 2]
-    return out
+    return _symmetric(sf, phi, t * phi, sf + t * phi, (t * t + 1.0) * phi,
+                      2.0 * sf + (t**3 + t) * phi)
 
 
 def gaussian_null():
@@ -108,10 +106,13 @@ def _t_scale(df):
     return math.sqrt(df / (df - 2.0))
 
 
+def _t_log_norm(df):
+    return gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
+
+
 def _t_pdf_raw(df, x):
     x = np.asarray(x, dtype=float)
-    log_c = gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
-    return np.exp(log_c - 0.5 * (df + 1.0) * np.log1p(x * x / df))
+    return np.exp(_t_log_norm(df) - 0.5 * (df + 1.0) * np.log1p(x * x / df))
 
 
 def _t_cdf(df, scale, t):
@@ -131,12 +132,40 @@ def _t_quantile(df, scale, p):
     return stdtrit(df, np.asarray(p, dtype=float)) / scale
 
 
+def _t_tail_matrix(df, scale, t):
+    """Closed-form tail information matrix of the unit-variance Student t.
+
+    With x = scale * t, w = 1 + x^2/df and f the raw t_df density at x,
+    integration by parts against psi f = -f' leaves only Student t tails
+    with df and df + 2 degrees of freedom, and no two terms cancel:
+
+        e2 = (df + 3)/df * integral_x^inf u^2 f(u) / w(u)^2 du
+           = c_df / c_(df+2) * sqrt(df/(df+2)) * Tbar_(df+2)(x sqrt((df+2)/df))
+             + x f / w,
+
+    where c_d is the t_d normalising constant.  The entries tend to
+    :func:`gamma_closed_form_gaussian` as df -> inf.
+    """
+    x = scale * np.asarray(t, dtype=float)
+    w = 1.0 + x * x / df
+    f = _t_pdf_raw(df, x)
+    ratio = math.exp(_t_log_norm(df) - _t_log_norm(df + 2.0)) * math.sqrt(df / (df + 2.0))
+    e2 = ratio * stdtr(df + 2.0, -x * math.sqrt((df + 2.0) / df)) + x * f / w
+    return _symmetric(
+        stdtr(df, -x), scale * f, x * f,
+        scale * scale * (df + 1.0) ** 2 / (df * (df + 3.0)) * e2,
+        scale * f * (df - 1.0 + (df + 3.0) * x * x) / ((df + 3.0) * w),
+        x * f * (x * x - 1.0) / w + 2.0 * (df + 1.0) / (df + 3.0) * e2,
+    )
+
+
 def student_t_null(df=6.0):
     """Unit-variance Student t null model (df > 2).
 
     The raw t variate is divided by sqrt(df / (df - 2)), so the law has
     variance one; all score functions are smooth and the tail
-    information matrix stays invertible at every finite point.
+    information matrix, given in closed form, stays invertible at every
+    finite point.
     """
     if not df > 2.0:
         raise ValueError(f"degrees of freedom must exceed 2, got {df}")
@@ -147,6 +176,7 @@ def student_t_null(df=6.0):
         pdf=partial(_t_pdf, df, scale),
         location_score=partial(_t_score, df, scale),
         quantile=partial(_t_quantile, df, scale),
+        tail_matrix=partial(_t_tail_matrix, df, scale),
     )
 
 

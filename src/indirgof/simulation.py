@@ -19,7 +19,7 @@ import numpy as np
 from .bandwidth import cv_select, default_radius_grid
 from .errors import IndirgofError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
-from .khmaladze import DEFAULT_SCAN_GRID, decide
+from .khmaladze import decide
 from .nulls import ErrorSampler, gaussian_null
 from .spectral import enumerate_lattice
 
@@ -259,7 +259,7 @@ class PowerTable:
 
 
 def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
-                   floor=DEFAULT_DENSITY_FLOOR, scan_grid=DEFAULT_SCAN_GRID):
+                   floor=DEFAULT_DENSITY_FLOOR):
     """One Monte-Carlo repetition: generate, cross-validate, fit, decide.
 
     ``seed_key`` is the (master seed, cell index, rep index) triple that
@@ -271,22 +271,20 @@ def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
     report = cv_select(data, radii, floor)
     lattice = enumerate_lattice(data.m, report.chosen)
     fitted = fit(data, lattice, floor)
-    outcome = decide(fitted, gaussian_null(), alpha, scan_grid=scan_grid)
+    outcome = decide(fitted, gaussian_null(), alpha)
     return bool(outcome.reject)
 
 
 def _rep_task(args):
-    model, n, alpha, seed_key, cv_radii, floor, scan_grid = args
+    model, n, alpha, seed_key, cv_radii, floor = args
     try:
-        return seed_key, run_single_rep(model, n, alpha, seed_key, cv_radii,
-                                        floor, scan_grid), None
+        return seed_key, run_single_rep(model, n, alpha, seed_key, cv_radii, floor), None
     except IndirgofError as exc:
         return seed_key, None, f"{type(exc).__name__}: {exc}"
 
 
 def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
-                cv_radii=None, floor=DEFAULT_DENSITY_FLOOR,
-                scan_grid=DEFAULT_SCAN_GRID, workers=1):
+                cv_radii=None, floor=DEFAULT_DENSITY_FLOOR, workers=1):
     """Monte-Carlo rejection rates of the Gaussian-null test.
 
     Parameters
@@ -316,7 +314,7 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         raise ValueError(f"reps must be at least 1, got {reps}")
     cells = [(model, n) for model in scenarios for n in n_list]
     tasks = [
-        (model, n, alpha, (seed, ci, r), cv_radii, floor, scan_grid)
+        (model, n, alpha, (seed, ci, r), cv_radii, floor)
         for ci, (model, n) in enumerate(cells)
         for r in range(reps)
     ]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -354,19 +355,28 @@ class TestImageCommand:
         assert rc == 0
 
 
-def test_scan_grid_flag_respected(tmp_path):
-    rng = np.random.default_rng(412)
+@pytest.mark.parametrize("null", ["gaussian", "student-t"])
+def test_test_command_prints_nothing(tmp_path, capfd, null):
+    # the report and both exports go to files, so the run is silent: no
+    # warning, no stray print on stdout or stderr
+    rng = np.random.default_rng(413)
     src = tmp_path / "d.csv"
-    write_dataset_csv(generate(paper_model("normal", "uniform"), 80, rng), src)
-    coarse, fine = tmp_path / "c.json", tmp_path / "f.json"
-    assert main(["test", str(src), "--scan-grid", "512",
-                 "--out", str(coarse)]) == 0
-    assert main(["test", str(src), "--scan-grid", "8192",
-                 "--out", str(fine)]) == 0
-    a = json.loads(coarse.read_text())["statistic"]
-    b = json.loads(fine.read_text())["statistic"]
-    assert a == pytest.approx(b, abs=5e-3)
-    assert a != b  # the knob actually reached the scan
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 300, rng), src)
+    argv = ["test", str(src), "--null", null, "--out", str(tmp_path / "r.json"),
+            "--trace-out", str(tmp_path / "t.csv"), "--qq-out", str(tmp_path / "q.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capfd.readouterr() == ("", "")
+
+
+def test_scan_grid_is_not_an_option(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scan_grid = 4096\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "unknown config key 'scan_grid'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["simulate", "--scan-grid", "4096"])
 
 
 def test_run_config_validates_alpha():

@@ -19,7 +19,6 @@ from indirgof.khmaladze import (
     gamma_closed_form_gaussian,
     gamma_quadrature,
     statistic,
-    tail_matrices,
     transform,
     transform_standardized,
 )
@@ -76,16 +75,18 @@ class TestGammaClosedForm:
         assert_allclose(gamma_quadrature(NULL, -8.0), np.diag([1.0, 1.0, 2.0]),
                         atol=1e-6)
 
-    def test_monotone_loss_of_information(self):
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_monotone_loss_of_information(self, null_factory):
         ts = np.linspace(-3.0, 2.5, 12)
-        mats = gamma_closed_form_gaussian(ts)
+        mats = null_factory().tail_matrix(ts)
         for i in range(len(ts) - 1):
             diff = mats[i] - mats[i + 1]
             assert np.linalg.eigvalsh(diff)[0] >= -1e-9
 
-    def test_symmetry_and_psd(self):
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_symmetry_and_psd(self, null_factory):
         for t in (-2.0, 0.0, 2.0):
-            g = gamma_closed_form_gaussian(t)
+            g = null_factory().tail_matrix(t)
             assert_allclose(g, g.T)
             assert np.linalg.eigvalsh(g)[0] > 0.0
 
@@ -94,14 +95,14 @@ class TestTailMatrices:
     def test_grid_matches_pointwise(self):
         null = student_t_null()
         grid = np.linspace(-3.0, 2.0, 257)
-        on_grid = tail_matrices(null, grid)
+        on_grid = null.tail_matrix(grid)
         for idx in (0, 64, 128, 200, 256):
             pointwise = gamma_quadrature(null, grid[idx])
             assert np.max(np.abs(on_grid[idx] - pointwise)) < 1e-8
 
     def test_gaussian_uses_closed_form(self):
         grid = np.linspace(-5.0, 3.0, 129)
-        assert_allclose(tail_matrices(NULL, grid), gamma_closed_form_gaussian(grid),
+        assert_allclose(NULL.tail_matrix(grid), gamma_closed_form_gaussian(grid),
                         rtol=0, atol=0)
 
 
@@ -140,6 +141,12 @@ class TestBuildScan:
     def test_infinite_t0_rejected(self):
         with pytest.raises(ValueError):
             build_scan(NULL, math.inf, 512)
+
+    @pytest.mark.parametrize("grid_size", [-5, 0, 1])
+    def test_grid_below_two_points_rejected(self, grid_size):
+        # a one-point grid is [t_lo]: it never reaches t0 and G0 would be 0
+        with pytest.raises(ValueError, match=f"got {grid_size}"):
+            build_scan(NULL, 2.0, grid_size)
 
 
 class _StubFit:
@@ -209,12 +216,12 @@ class TestTransform:
         assert np.max(np.abs(prod_vals - oracle_vals)) < 1e-4
 
     def test_generic_null_path(self):
-        # quadrature tail matrices end to end on the Student t null
+        # closed-form Student t tail matrices end to end
         rng = np.random.default_rng(58)
         null = student_t_null(6.0)
         z = rng.standard_t(6.0, 60)
         z = z / np.sqrt(np.mean(z**2))
-        trace = transform_standardized(z, null, scan_grid=1024)
+        trace = transform_standardized(z, null)
         assert np.all(np.isfinite(trace.values))
 
     def test_trace_rejects_points_beyond_t0(self):
@@ -269,6 +276,16 @@ class TestBrownianQuantiles:
         q = brownian_sup_quantile(alpha)
         true_tail = 2.0 * math.erfc(q / math.sqrt(2.0))
         assert true_tail == pytest.approx(alpha, rel=1e-4, abs=0.0)
+
+    def test_quantile_below_tail_underflow(self):
+        # the tail underflows near q = 37.7; mpmath (50 digits) puts the
+        # quantile of alpha = 1e-320 at 38.3053082
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = mpmath.findroot(
+                lambda q: 2 * mpmath.erfc(q / mpmath.sqrt(2)) - mpmath.mpf("1e-320"), 38
+            )
+        assert brownian_sup_quantile(1e-320) == pytest.approx(float(ref), abs=1e-6)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,41 @@ def test_quantile_round_trip(null_factory):
     assert np.max(np.abs(null.cdf(null.quantile(ps)) - ps)) < 1e-10
 
 
+def _mp_student_t_tail_matrix(mpmath, df, t):
+    """Tail information matrix of the unit-variance Student t by 40-digit quadrature."""
+    df = mpmath.mpf(df)
+    s = mpmath.sqrt(df / (df - 2))
+    c = mpmath.gamma((df + 1) / 2) / (mpmath.gamma(df / 2) * mpmath.sqrt(df * mpmath.pi))
+
+    def h_f(u):
+        x = s * u
+        psi = s * (df + 1) * x / (df + x * x)
+        return (1, psi, u * psi - 1), s * c * (1 + x * x / df) ** (-(df + 1) / 2)
+
+    def integrand(u, i, j):
+        h, f = h_f(u)
+        return h[i] * h[j] * f
+
+    g = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            g[i, j] = g[j, i] = float(mpmath.quad(lambda u: integrand(u, i, j),
+                                                  [t, t + 1, t + 10, mpmath.inf]))
+    return g
+
+
+@pytest.mark.parametrize("df, rel", [(2.5, 1e-13), (3.0, 1e-13), (6.0, 1e-13),
+                                     (30.0, 1e-13), (1e3, 1e-10), (1e5, 1e-10)])
+def test_student_t_tail_matrix_matches_high_precision_quadrature(df, rel):
+    mpmath = pytest.importorskip("mpmath")
+    ts = [-12.0, -3.0, -1.0, 0.5, 1.3, 3.0, 6.0]
+    closed = student_t_null(df).tail_matrix(np.array(ts))
+    with mpmath.workdps(40):
+        for t, got in zip(ts, closed):
+            ref = _mp_student_t_tail_matrix(mpmath, df, mpmath.mpf(t))
+            assert_allclose(got, ref, rtol=rel, atol=0.0)
+
+
 def test_student_t_df_domain():
     with pytest.raises(ValueError):
         student_t_null(2.0)
