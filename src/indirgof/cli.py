@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .bandwidth import cv_select, default_radius_grid
 from .errors import DataFormatError, IndirgofError, InsufficientDataError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from .khmaladze import decide
-from .nulls import get_null, get_sampler
-from .simulation import paper_model, power_study
+from .nulls import get_null
+from .simulation import COVARIATE_LAWS, paper_model, power_study
 from .spectral import enumerate_lattice
 
 REPORT_SCHEMA_VERSION = 3
@@ -206,38 +206,77 @@ def load_image_section(path, row0, col0, size):
 # Run configuration and orchestration
 # ---------------------------------------------------------------------------
 
+def _int_list(text):
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _float_list(text):
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _str_list(text):
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+_ALL = ("test", "estimate", "simulate", "image")
+_READS_INPUT = ("test", "estimate", "image")
+_RUNS_TEST = ("test", "image")
+
+
+def _option(flag, commands, default=None, *, factory=None, output=False, **argparse_kw):
+    """A :class:`RunConfig` field that is a flag of ``commands`` and a config key.
+
+    ``argparse_kw`` go to ``add_argument``; their ``type`` (``str`` when
+    absent) also casts a config-file value.  ``output`` marks a path the
+    run writes, whose directory is checked before any work starts.
+    """
+    meta = {"flag": flag, "commands": commands, "argparse": argparse_kw,
+            "output": output}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """Resolved options for one CLI invocation."""
+    """Resolved options for one CLI invocation.
+
+    Each field but ``command`` declares its option once: the parser, the
+    config-file keys and the output-path check are built from the fields.
+    """
 
     command: str
-    input: str = None
-    null_name: str = "gaussian"
-    alpha: float = 0.05
-    cv_grid: list = None
-    radius: float = None
-    floor: float = DEFAULT_DENSITY_FLOOR
-    seed: int = 0
-    out: str = None
-    trace_out: str = None
-    qq_out: str = None
-    error_json: str = None
-    # simulate
-    scenarios: list = field(default_factory=lambda: ["normal"])
-    design: str = "uniform"
-    n_list: list = field(default_factory=lambda: [100])
-    reps: int = 200
-    workers: int = 1
-    json_out: str = None
-    # estimate
-    grid_points: int = 21
-    residuals_out: str = None
-    data_out: str = None
-    # image
-    row0: int = 0
-    col0: int = 0
-    size: int = 32
-    fitted_out: str = None
+    input: str = _option("input", _READS_INPUT, nargs="?")
+    null_name: str = _option("--null", _ALL, "gaussian", help="null model name")
+    alpha: float = _option("--alpha", _ALL, 0.05, type=float)
+    cv_grid: list = _option("--cv-grid", _ALL, type=_float_list,
+                            help="comma-separated candidate cutoff radii")
+    radius: float = _option("--radius", ("estimate",), type=float,
+                            help="fixed cutoff radius (skips CV)")
+    floor: float = _option("--floor", _ALL, DEFAULT_DENSITY_FLOOR, type=float,
+                           help="density lower clamp")
+    seed: int = _option("--seed", _ALL, 0, type=int)
+    out: str = _option("--out", _ALL, output=True)
+    trace_out: str = _option("--trace-out", _RUNS_TEST, output=True)
+    qq_out: str = _option("--qq-out", _RUNS_TEST, output=True)
+    error_json: str = _option(
+        "--error-json", _ALL, output=True,
+        help="write a machine-readable error description here on failure")
+    scenarios: list = _option("--scenarios", ("simulate",), factory=lambda: ["normal"],
+                              type=_str_list, help="comma-separated error laws")
+    design: str = _option("--design", ("simulate",), "uniform", choices=COVARIATE_LAWS)
+    n_list: list = _option("--n", ("simulate",), factory=lambda: [100], type=_int_list,
+                           help="comma-separated sample sizes")
+    reps: int = _option("--reps", ("simulate",), 200, type=int)
+    workers: int = _option("--workers", ("simulate",), 1, type=int)
+    json_out: str = _option("--json-out", ("simulate",), output=True)
+    grid_points: int = _option("--grid-points", ("estimate",), 21, type=int)
+    residuals_out: str = _option("--residuals-out", ("estimate",), output=True)
+    data_out: str = _option("--data-out", ("estimate",), output=True)
+    row0: int = _option("--row0", ("image",), 0, type=int)
+    col0: int = _option("--col0", ("image",), 0, type=int)
+    size: int = _option("--size", ("image",), 32, type=int)
+    fitted_out: str = _option("--fitted-out", ("image",), output=True)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -262,7 +301,7 @@ def _write_report(config, report, cv_report, caveats=()):
     payload["seed"] = config.seed
     payload["cv"] = cv_report.as_dict() if cv_report is not None else None
     payload["caveats"] = list(caveats)
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -336,8 +375,7 @@ def _cmd_estimate(config):
 
 
 def _cmd_simulate(config):
-    scenarios = [paper_model(get_sampler(name), config.design)
-                 for name in config.scenarios]
+    scenarios = [paper_model(name, config.design) for name in config.scenarios]
     table = power_study(
         scenarios, config.n_list, config.reps, config.alpha, config.seed,
         cv_radii=config.cv_grid, floor=config.floor, workers=config.workers,
@@ -368,25 +406,21 @@ def _cmd_image(config):
 
 
 _COMMANDS = {
-    "test": _cmd_test,
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "image": _cmd_image,
+    "test": (_cmd_test, "run the goodness-of-fit test on a CSV dataset"),
+    "estimate": (_cmd_estimate, "fit only; export the surface and residuals"),
+    "simulate": (_cmd_simulate, "Monte-Carlo level/power study"),
+    "image": (_cmd_image, "test a grayscale image section"),
 }
 
 
 def _validate_paths(config):
-    if config.command in ("test", "estimate", "image"):
+    if config.command in _READS_INPUT:
         if not config.input:
             raise ValueError(f"the {config.command} command needs an input path")
         if not os.path.isfile(config.input):
             raise FileNotFoundError(f"input file not found: {config.input}")
-    outputs = (config.out, config.trace_out, config.qq_out, config.json_out,
-               config.residuals_out, config.data_out, config.fitted_out,
-               config.error_json)
-    for path in outputs:
-        if not path:
-            continue
+    outputs = [getattr(config, f.name) for f in fields(config) if f.metadata.get("output")]
+    for path in filter(None, outputs):
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
@@ -396,7 +430,7 @@ def run(config):
     """Execute a resolved configuration; returns the process exit status."""
     try:
         _validate_paths(config)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except (IndirgofError, ValueError, OSError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
@@ -410,18 +444,6 @@ def run(config):
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
-
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _str_list(text):
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
-
 
 def read_config_file(path):
     """Parse a flat ``key = value`` config file (# starts a comment)."""
@@ -440,29 +462,14 @@ def read_config_file(path):
     return values
 
 
-_CASTS = {
-    "null_name": str, "alpha": float, "cv_grid": _float_list, "radius": float,
-    "floor": float, "seed": int, "out": str,
-    "trace_out": str, "qq_out": str, "error_json": str, "scenarios": _str_list,
-    "design": str, "n_list": _int_list, "reps": int, "workers": int,
-    "json_out": str, "grid_points": int, "residuals_out": str, "data_out": str,
-    "row0": int, "col0": int, "size": int, "fitted_out": str, "input": str,
-}
-
-_CONFIG_ALIASES = {"null": "null_name", "n": "n_list", "cv_grid": "cv_grid"}
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file; flags override")
-    parser.add_argument("--null", dest="null_name", help="null model name")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--cv-grid", dest="cv_grid", type=_float_list,
-                        help="comma-separated candidate cutoff radii")
-    parser.add_argument("--floor", type=float, help="density lower clamp")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--error-json", dest="error_json",
-                        help="write a machine-readable error description here on failure")
+def _config_keys():
+    """Map each config key, a field name or a flag name, to its field and cast."""
+    keys = {}
+    for f in fields(RunConfig):
+        if "flag" in f.metadata:
+            flag = f.metadata["flag"].lstrip("-").replace("-", "_")
+            keys[f.name] = keys[flag] = (f.name, f.metadata["argparse"].get("type", str))
+    return keys
 
 
 def _build_parser():
@@ -472,61 +479,30 @@ def _build_parser():
                     "convolution-distorted regression",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_test = sub.add_parser("test", help="run the goodness-of-fit test on a CSV dataset")
-    p_test.add_argument("input", nargs="?")
-    _add_common(p_test)
-    p_test.add_argument("--trace-out", dest="trace_out")
-    p_test.add_argument("--qq-out", dest="qq_out")
-
-    p_est = sub.add_parser("estimate", help="fit only; export the surface and residuals")
-    p_est.add_argument("input", nargs="?")
-    _add_common(p_est)
-    p_est.add_argument("--radius", type=float, help="fixed cutoff radius (skips CV)")
-    p_est.add_argument("--grid-points", dest="grid_points", type=int)
-    p_est.add_argument("--residuals-out", dest="residuals_out")
-    p_est.add_argument("--data-out", dest="data_out")
-
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo level/power study")
-    _add_common(p_sim)
-    p_sim.add_argument("--scenarios", type=_str_list,
-                       help="comma-separated error laws")
-    p_sim.add_argument("--design", choices=("uniform", "nontrivial"))
-    p_sim.add_argument("--n", dest="n_list", type=_int_list,
-                       help="comma-separated sample sizes")
-    p_sim.add_argument("--reps", type=int)
-    p_sim.add_argument("--workers", type=int)
-    p_sim.add_argument("--json-out", dest="json_out")
-
-    p_img = sub.add_parser("image", help="test a grayscale image section")
-    p_img.add_argument("input", nargs="?")
-    _add_common(p_img)
-    p_img.add_argument("--row0", type=int)
-    p_img.add_argument("--col0", type=int)
-    p_img.add_argument("--size", type=int)
-    p_img.add_argument("--trace-out", dest="trace_out")
-    p_img.add_argument("--qq-out", dest="qq_out")
-    p_img.add_argument("--fitted-out", dest="fitted_out")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        p_cmd.add_argument("--config", help="flat key=value config file; flags override")
+        for f in fields(RunConfig):
+            if command in f.metadata.get("commands", ()):
+                flag, kwargs = f.metadata["flag"], f.metadata["argparse"]
+                if flag.startswith("-"):
+                    kwargs = dict(kwargs, dest=f.name)
+                p_cmd.add_argument(flag, **kwargs)
     return parser
 
 
 def build_config(args):
     """Merge parsed flags over config-file values over defaults."""
-    file_values = {}
+    merged = {}
     if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, text in raw.items():
-            key = _CONFIG_ALIASES.get(key, key)
-            if key not in _CASTS:
+        keys = _config_keys()
+        for key, text in read_config_file(args.config).items():
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
-            file_values[key] = _CASTS[key](text)
-    merged = dict(file_values)
-    for key in vars(args):
-        if key in ("command", "config"):
-            continue
-        value = getattr(args, key)
-        if value is not None:
+            name, cast = keys[key]
+            merged[name] = cast(text)
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
             merged[key] = value
     return RunConfig(command=args.command, **merged)
 

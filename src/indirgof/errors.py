@@ -14,7 +14,7 @@ class InsufficientDataError(IndirgofError):
 
 
 class DegenerateFitError(IndirgofError):
-    """All residuals vanish, so the scale estimate and the test are undefined."""
+    """The residual scale is zero or not finite, so the test is undefined."""
 
 
 class SingularMatrixError(IndirgofError):

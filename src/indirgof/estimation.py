@@ -27,8 +27,6 @@ from .spectral import FreqLattice
 #: Default lower clamp for the covariate density estimate.
 DEFAULT_DENSITY_FLOOR = 0.05
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -217,12 +215,18 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     Fitted values at the data points come from the coefficient series,
     O(nN) for N lattice indices.  Raises :class:`DegenerateFitError` when
     the residual scale vanishes relative to the response size, since the
-    error-distribution test is undefined for an interpolating fit.
+    error-distribution test is undefined for an interpolating fit, or when
+    it is not finite because the squared residuals overflow.
     """
     density = estimate_density(data, lattice, floor)
     rhat = estimate_coeffs(data, density, lattice)
     residuals = data.y - _eval_series(_upper_trig(lattice, data.x, density), rhat)
     sigma_hat = float(np.sqrt(np.mean(residuals**2)))
+    if not np.isfinite(sigma_hat):
+        raise DegenerateFitError(
+            f"residual scale {sigma_hat} is not finite; the squared residuals "
+            "overflow double precision, so rescale the responses"
+        )
     if sigma_hat <= 1e-13 * (1.0 + float(np.mean(np.abs(data.y)))):
         raise DegenerateFitError(
             f"residual scale {sigma_hat:.3e} is numerically zero; "

@@ -21,7 +21,7 @@ asymptotically distributed as the supremum of |Brownian motion| on
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad_vec
@@ -320,21 +320,9 @@ class TestReport:
     trace: ProcessTrace = field(repr=False)
 
     def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "log10_p_value": self.log10_p_value,
-            "t0": self.t0,
-            "f_hat_t0": self.f_hat_t0,
-            "alpha": self.alpha,
-            "q_alpha": self.q_alpha,
-            "reject": self.reject,
-            "sigma_hat": self.sigma_hat,
-            "chosen_radius": self.chosen_radius,
-            "n": self.n,
-            "null": self.null_name,
-            "ks_diagnostic": self.ks_diagnostic,
-        }
+        """Every field but ``trace`` in declaration order; ``null_name`` as ``null``."""
+        return {"null" if f.name == "null_name" else f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "trace"}
 
 
 def decide(regression_fit, null, alpha):

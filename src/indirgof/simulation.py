@@ -12,7 +12,7 @@ sampling.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .bandwidth import cv_select, default_radius_grid
 from .errors import IndirgofError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from .khmaladze import decide
-from .nulls import ErrorSampler, gaussian_null
+from .nulls import ErrorSampler, gaussian_null, get_sampler
 from .spectral import enumerate_lattice
 
 SQRT2 = math.sqrt(2.0)
@@ -166,8 +166,6 @@ def ktheta_true(model, x):
 
 def paper_model(error="normal", design="uniform", psi=None):
     """Simulation-study model with the requested error law and design."""
-    from .nulls import get_sampler
-
     sampler = error if isinstance(error, ErrorSampler) else get_sampler(error)
     return SyntheticModel(
         theta_coeffs=THETA_COEFFS,
@@ -230,26 +228,14 @@ class PowerTable:
     alpha: float
 
     def to_csv(self, path):
+        """One column per :class:`PowerRow` field, in declaration order."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("error,design,n,reps,rejections,failures,rate,seed\n")
+            fh.write(",".join(f.name for f in fields(PowerRow)) + "\n")
             for r in self.rows:
-                fh.write(
-                    f"{r.error},{r.design},{r.n},{r.reps},{r.rejections},"
-                    f"{r.failures},{r.rate!r},{r.seed}\n"
-                )
+                fh.write(",".join(map(str, astuple(r))) + "\n")
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "rows": [
-                {
-                    "error": r.error, "design": r.design, "n": r.n,
-                    "reps": r.reps, "rejections": r.rejections,
-                    "failures": r.failures, "rate": r.rate, "seed": r.seed,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"alpha": self.alpha, "rows": [asdict(r) for r in self.rows]}
 
     def rate_for(self, error, n):
         for r in self.rows:
@@ -278,9 +264,9 @@ def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
 def _rep_task(args):
     model, n, alpha, seed_key, cv_radii, floor = args
     try:
-        return seed_key, run_single_rep(model, n, alpha, seed_key, cv_radii, floor), None
+        return run_single_rep(model, n, alpha, seed_key, cv_radii, floor), None
     except IndirgofError as exc:
-        return seed_key, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
@@ -323,17 +309,12 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
             raw = list(pool.map(_rep_task, tasks, chunksize=4))
     else:
         raw = [_rep_task(t) for t in tasks]
-    by_cell = {}
-    for seed_key, rejected, error in sorted(raw, key=lambda r: r[0]):
-        _, ci, _ = seed_key
-        rej, fails = by_cell.get(ci, (0, 0))
-        if error is not None:
-            by_cell[ci] = (rej, fails + 1)
-        else:
-            by_cell[ci] = (rej + int(rejected), fails)
     rows = []
     for ci, (model, n) in enumerate(cells):
-        rej, fails = by_cell.get(ci, (0, 0))
+        # both the pool and the serial list keep the task order
+        outcomes = raw[ci * reps:(ci + 1) * reps]
+        rej = sum(rejected for rejected, error in outcomes if error is None)
+        fails = sum(error is not None for _, error in outcomes)
         ok = reps - fails
         rows.append(PowerRow(
             error=model.error_sampler.name,

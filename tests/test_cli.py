@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from indirgof.cli import (
     RunConfig,
+    _build_parser,
     anscombe,
     anscombe_inverse,
+    build_config,
     load_csv,
     load_image_section,
     main,
@@ -18,6 +20,7 @@ from indirgof.cli import (
     write_dataset_csv,
 )
 from indirgof.errors import DataFormatError, InsufficientDataError
+from indirgof.estimation import Dataset
 from indirgof.simulation import generate, paper_model, poisson_count_image
 
 
@@ -168,6 +171,23 @@ class TestConfigFile:
                    "--alpha", "0.2", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["alpha"] == 0.2
+
+    def test_keys_are_field_or_flag_names(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("null = student-t\nn = 50,100\ncv-grid = 1,2\n"
+                       "grid_points = 7\nfitted-out = f.csv\n")
+        config = build_config(_build_parser().parse_args(
+            ["simulate", "--config", str(cfg), "--reps", "3"]))
+        assert config.null_name == "student-t"
+        assert config.n_list == [50, 100]
+        assert config.cv_grid == [1.0, 2.0]
+        assert config.grid_points == 7  # a key of another command is accepted
+        assert config.fitted_out == "f.csv"
+        assert config.reps == 3
+        for key in ("command", "config"):
+            cfg.write_text(f"{key} = test\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                build_config(_build_parser().parse_args(["simulate", "--config", str(cfg)]))
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -357,17 +377,40 @@ class TestImageCommand:
 
 @pytest.mark.parametrize("null", ["gaussian", "student-t"])
 def test_test_command_prints_nothing(tmp_path, capfd, null):
-    # the report and both exports go to files, so the run is silent: no
-    # warning, no stray print on stdout or stderr
+    # every output goes to a file, so the runs are silent: no warning, no
+    # stray print on stdout or stderr, from this process or a pool worker
     rng = np.random.default_rng(413)
     src = tmp_path / "d.csv"
     write_dataset_csv(generate(paper_model("normal", "uniform"), 300, rng), src)
-    argv = ["test", str(src), "--null", null, "--out", str(tmp_path / "r.json"),
-            "--trace-out", str(tmp_path / "t.csv"), "--qq-out", str(tmp_path / "q.csv")]
+    test_argv = ["test", str(src), "--null", null, "--out", str(tmp_path / "r.json"),
+                 "--trace-out", str(tmp_path / "t.csv"),
+                 "--qq-out", str(tmp_path / "q.csv")]
+    simulate_argv = ["simulate", "--n", "40", "--reps", "4", "--cv-grid", "1,2",
+                     "--workers", "2", "--out", str(tmp_path / "s.csv"),
+                     "--json-out", str(tmp_path / "s.json")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv) == 0
+        assert main(test_argv) == 0
+        assert main(simulate_argv) == 0
     assert capfd.readouterr() == ("", "")
+
+
+def test_overflowing_responses_fail_with_named_cause(tmp_path, capsys):
+    # y * 1e155 overflows the squared residuals: the run once exited 0 with
+    # "sigma_hat": Infinity and a wrong, rejecting statistic
+    data = generate(paper_model("normal", "uniform"), 300, np.random.default_rng(0))
+    src = tmp_path / "d.csv"
+    write_dataset_csv(Dataset(x=data.x, y=data.y * 1e155), src)
+    out, err = tmp_path / "r.json", tmp_path / "err.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the CV scores overflow first
+        rc = main(["test", str(src), "--out", str(out), "--error-json", str(err)])
+    assert rc == 1
+    stdout, stderr = capsys.readouterr()
+    assert "DegenerateFitError" in stderr and "not finite" in stderr
+    assert not out.exists()
+    assert "Infinity" not in stdout + stderr + err.read_text()
+    assert json.loads(err.read_text())["error"] == "DegenerateFitError"
 
 
 def test_scan_grid_is_not_an_option(tmp_path, capsys):

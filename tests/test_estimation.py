@@ -138,6 +138,14 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             fit(data, enumerate_lattice(1, 1))
 
+    def test_overflowing_scale_is_degenerate(self):
+        # squaring residuals near 1e160 overflows, so the scale would be inf
+        rng = np.random.default_rng(16)
+        data = Dataset(x=rng.random((40, 1)), y=rng.normal(0.0, 1e160, 40))
+        with np.errstate(over="ignore"), pytest.raises(DegenerateFitError,
+                                                       match="not finite"):
+            fit(data, enumerate_lattice(1, 1))
+
     def test_scale_and_standardization(self):
         rng = np.random.default_rng(15)
         data = Dataset(x=rng.random((60, 2)), y=rng.normal(1.0, 0.5, 60))

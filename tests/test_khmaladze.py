@@ -349,9 +349,12 @@ class TestDecide:
         assert 0.0 <= report.ks_diagnostic <= 1.0
         assert report.p_value == brownian_sup_tail(report.statistic)
         payload = report.to_dict()
-        for key in ("statistic", "p_value", "t0", "q_alpha", "alpha", "reject", "n",
-                    "sigma_hat", "chosen_radius", "ks_diagnostic"):
-            assert key in payload
+        assert list(payload) == [
+            "statistic", "p_value", "log10_p_value", "t0", "f_hat_t0", "alpha",
+            "q_alpha", "reject", "sigma_hat", "chosen_radius", "n", "null",
+            "ks_diagnostic",
+        ]
+        assert payload["null"] == "gaussian"
 
     def test_alpha_validated(self):
         rng = np.random.default_rng(61)

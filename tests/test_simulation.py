@@ -186,6 +186,8 @@ class TestPowerStudy:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "error,design,n,reps,rejections,failures,rate,seed"
         assert len(lines) == 3
+        assert list(payload["rows"][1]) == lines[0].split(",")
+        assert lines[2].split(",") == [str(v) for v in payload["rows"][1].values()]
 
     def test_reps_validated(self):
         with pytest.raises(ValueError):
