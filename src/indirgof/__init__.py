@@ -28,7 +28,6 @@ from .khmaladze import (
     brownian_sup_tail,
     build_scan,
     decide,
-    gamma_closed_form_gaussian,
     gamma_quadrature,
     statistic,
     transform,
@@ -38,6 +37,7 @@ from .nulls import (
     ErrorSampler,
     NullModel,
     alternative_samplers,
+    gamma_closed_form_gaussian,
     gaussian_null,
     get_null,
     get_sampler,

@@ -6,9 +6,9 @@ the coefficient sums (sums over i != j, normalized by n - 1).  With
 pairwise weights W and row sums rs this is the exact identity
 pred_j = sum_{i != j} y_i W_ij / max(rs_i - W_ij, floor (n - 1)).
 
-All radii are scored in one blocked pass over nested shells: sorted by
-norm, the upper half of the largest lattice makes each smaller lattice a
-column prefix.  With Z the sqrt(2)-scaled cos/sin phases, W_ij = 1 + Z_i.Z_j
+All radii are scored in one blocked pass over nested shells: with the
+pairs of the largest lattice's real basis Z (:meth:`FreqLattice.basis`)
+sorted by norm, each smaller lattice is a column prefix.  W_ij = 1 + Z_i.Z_j
 and rs costs O(nN).  Each block of 32 rows adds one shell per radius and
 sums its held-out terms while in cache, in O(32 n) working memory with no
 n x n matrix; W_jj is the lattice size, so the i = j term is closed-form.
@@ -52,15 +52,15 @@ def default_radius_grid(n, m):
     return list(range(1, r_max + 1))
 
 
-def _prefix_scores(data, ph, prefixes, floor):
-    """Leave-one-out scores of the lattices ``{0} u +-k`` over prefixes of k.
+def _prefix_scores(data, z, prefixes, floor):
+    """Leave-one-out scores of the lattices spanned by column prefixes of ``z``.
 
-    ``ph`` holds the phases of one k of each +-k pair, ordered so that every
-    lattice is a column prefix; ``prefixes`` are distinct ascending counts.
+    ``z`` is a real basis at the data with its cos/sin pairs ordered so that
+    every lattice is a column prefix; ``prefixes`` are distinct ascending
+    column counts.
     """
     n, y, lo = data.n, data.y, floor * (data.n - 1)
-    z = np.sqrt(2.0) * np.stack([np.cos(ph), np.sin(ph)], axis=2).reshape(n, -1)
-    shells = [(2 * a, 2 * b) for a, b in zip([0, *prefixes], prefixes)]
+    shells = list(zip([0, *prefixes], prefixes))
     total = z.sum(axis=0)
     row_sums = n + np.cumsum([z[:, a:b] @ total[a:b] for a, b in shells], axis=0)
     colsum = np.zeros((len(shells), n))
@@ -75,15 +75,15 @@ def _prefix_scores(data, ph, prefixes, floor):
             np.subtract(row_sums[r, rows, None], w, out=tmp)
             np.maximum(tmp, lo, out=tmp)
             colsum[r] += y[rows] @ np.divide(w, tmp, out=tmp)
-    sizes = 2.0 * np.array(prefixes)[:, None] + 1.0
+    sizes = np.array(prefixes, dtype=float)[:, None] + 1.0
     pred = colsum - y * sizes / np.maximum(row_sums - sizes, lo)
     return np.mean((y - pred) ** 2, axis=1)
 
 
 def loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """Mean squared leave-one-out prediction error for one lattice."""
-    ph = lattice.phases(data.x)[:, lattice.zero_position + 1:]
-    return float(_prefix_scores(data, ph, [ph.shape[1]], floor)[0])
+    z = lattice.basis(data.x)
+    return float(_prefix_scores(data, z, [z.shape[1]], floor)[0])
 
 
 def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
@@ -114,13 +114,12 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
     lattice = enumerate_lattice(data.m, max(radii))
-    upper = lattice.zero_position + 1
-    norms = np.sum(lattice.indices[upper:] ** 2, axis=1)
+    norms = np.sum(lattice.indices[lattice.zero_position + 1:] ** 2, axis=1)
     order = np.argsort(norms, kind="stable")
     counts = np.searchsorted(norms[order], np.square(radii), side="right")
-    prefixes, which = np.unique(counts, return_inverse=True)
-    ph = lattice.phases(data.x)[:, upper:][:, order]
-    scores = _prefix_scores(data, ph, prefixes.tolist(), floor)
+    prefixes, which = np.unique(2 * counts, return_inverse=True)
+    z = lattice.basis(data.x).reshape(data.n, -1, 2)[:, order].reshape(data.n, -1)
+    scores = _prefix_scores(data, z, prefixes.tolist(), floor)
     scored = [(r, float(scores[k])) for r, k in zip(radii, which)]
     chosen = min(scored, key=lambda rs: (rs[1], rs[0]))[0]
     return CvReport(candidates=tuple(scored), chosen=chosen)

@@ -426,19 +426,26 @@ def _validate_paths(config):
             raise ValueError(f"output directory does not exist: {parent}")
 
 
+def _fail(exc, error_json):
+    """Report ``exc`` on stderr and, when a path is given, as a JSON record; returns 1."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if error_json:
+        try:
+            with open(error_json, "w", encoding="utf-8") as fh:
+                json.dump({"error": type(exc).__name__, "message": str(exc)}, fh)
+                fh.write("\n")
+        except OSError as write_exc:
+            print(f"error: cannot write the error record: {write_exc}", file=sys.stderr)
+    return 1
+
+
 def run(config):
     """Execute a resolved configuration; returns the process exit status."""
     try:
         _validate_paths(config)
         return _COMMANDS[config.command][0](config)
     except (IndirgofError, ValueError, OSError) as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        if config.error_json:
-            with open(config.error_json, "w", encoding="utf-8") as fh:
-                json.dump({"error": type(exc).__name__, "message": str(exc)}, fh)
-                fh.write("\n")
-        return 1
+        return _fail(exc, config.error_json)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +519,7 @@ def main(argv=None):
     try:
         config = build_config(args)
     except (IndirgofError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, args.error_json)
     return run(config)
 
 

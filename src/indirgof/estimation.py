@@ -1,18 +1,18 @@
 """Covariate density and regression estimation by truncated Fourier series.
 
-The distorted regression surface is estimated by the truncated Fourier
-series with the coefficients ``rhat`` of every lattice index,
+Both estimates are series in the real basis Z(x) of the lattice
+(:meth:`FreqLattice.basis`), whose products give the Dirichlet kernel,
+W(x - x') = 1 + Z(x).Z(x').  The covariate density estimate
 
-    fitted(x) = sum_{|k| <= radius}  rhat_k * exp(i 2 pi k.x)
-              = (1/n) * sum_j  [y_j / g_hat(x_j)] * W(x - x_j),
+    g_hat(x) = 1 + Z(x).mean_j Z(x_j)
 
-where W is the Dirichlet kernel of the lattice.  The covariate density
-g_hat is itself a Fourier smoother built from the empirical characteristic
-coefficients, clamped below at a configurable floor because the Dirichlet
-kernel oscillates and the raw estimate can dip to zero or below in small
-samples.
+is clamped below at a configurable floor because the Dirichlet kernel
+oscillates and the raw estimate can dip to zero or below in small samples.
+With u_j = y_j / g_hat(x_j), the distorted regression surface is
 
-Because the lattice contains the zero frequency, the residuals sum to zero
+    fitted(x) = mean_j u_j + Z(x).mean_j u_j Z(x_j) = mean_j u_j W(x - x_j).
+
+Because the series contains the constant term, the residuals sum to zero
 exactly (up to accumulated rounding) provided the floor never activates;
 the property is structural and no recentring is applied.
 """
@@ -64,78 +64,34 @@ class Dataset:
         return self.x.shape[1]
 
 
-def _upper_trig(lattice, x, density=None):
-    """cos and sin of ``2 pi k.x`` over the upper half of the lattice.
-
-    Reuses the pair that ``density`` was estimated from when it belongs
-    to the same lattice and the same array of points, so one fit forms
-    its phase matrix once.
-    """
-    if density is not None:
-        own_lattice, own_x, trig = density._sample
-        if own_lattice is lattice and own_x is x:
-            return trig
-    ph = lattice.phases(x)[:, lattice.zero_position + 1:]
-    return np.cos(ph), np.sin(ph)
-
-
-def _mirrored_coeffs(trig, values, zero_value):
-    """Mean of ``values * exp(-i 2 pi k.x)`` for every lattice index.
-
-    Computes only the upper (lexicographically positive) half of the
-    lattice from its cos/sin pair and mirrors the conjugates, so the
-    conjugate symmetry ``coeff(-k) == conj(coeff(k))`` holds exactly and
-    the zero-frequency coefficient is the supplied exact value.
-    """
-    cos_up, sin_up = trig
-    mid = cos_up.shape[1]
-    re = values @ cos_up / len(values)
-    im = -(values @ sin_up) / len(values)
-    coeffs = np.empty(2 * mid + 1, dtype=complex)
-    upper = re + 1j * im
-    coeffs[mid + 1:] = upper
-    coeffs[mid] = zero_value
-    coeffs[:mid] = np.conj(upper)[::-1]
-    return coeffs
-
-
-def _eval_series(trig, coeffs):
-    """Real part of ``sum_k coeffs_k * exp(i 2 pi k.x)`` at the points of ``trig``.
-
-    For conjugate-symmetric ``coeffs`` this is the zero-frequency term plus
-    twice the real part of the upper half.
-    """
-    cos_up, sin_up = trig
-    mid = cos_up.shape[1]
-    upper = coeffs[mid + 1:]
-    return coeffs[mid].real + 2.0 * (cos_up @ upper.real - sin_up @ upper.imag)
-
-
 @dataclass(frozen=True)
 class DensityEstimate:
     """Fourier-series covariate density estimate with a lower clamp.
 
-    ``coeffs[k]`` holds the empirical characteristic coefficient
-    ``(1/n) sum_j exp(-i 2 pi k . x_j)``; the zero-frequency coefficient
-    is exactly 1, so the raw estimate integrates to one over the unit
-    cube.  Evaluation clamps below at ``floor`` unless asked not to.
+    ``coeffs`` is the sample mean of the lattice basis over the covariates
+    and the estimate is ``1 + basis(x) @ coeffs``; the constant term is
+    exactly 1, so the raw estimate integrates to one over the unit cube.
+    Evaluation clamps below at ``floor`` unless asked not to.
     """
 
     lattice: FreqLattice
     coeffs: np.ndarray = field(repr=False)
     floor: float
-    # (lattice, x, cos/sin pair) of the sample the estimate was built from;
-    # evaluating at that very array reuses the pair
-    _sample: tuple = field(default=(None, None, None), repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.floor > 0:
+            raise ValueError(f"density floor must be positive, got {self.floor}")
 
     def evaluate(self, x, clamped=True):
         """Density value(s) at ``x``; shape follows the input points."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        vals = _eval_series(_upper_trig(self.lattice, np.atleast_2d(x), self), self.coeffs)
-        if clamped:
-            vals = np.maximum(vals, self.floor)
-        return float(vals[0]) if single else vals
+        vals = self._at(self.lattice.basis(np.atleast_2d(x)), clamped)
+        return float(vals[0]) if x.ndim == 1 else vals
+
+    def _at(self, z, clamped=True):
+        """Density at the points whose basis rows are ``z``."""
+        vals = 1.0 + z @ self.coeffs
+        return np.maximum(vals, self.floor) if clamped else vals
 
 
 def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
@@ -152,39 +108,40 @@ def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     -------
     DensityEstimate
     """
-    if not floor > 0:
-        raise ValueError(f"density floor must be positive, got {floor}")
-    trig = _upper_trig(lattice, data.x)
-    coeffs = _mirrored_coeffs(trig, np.ones(data.n), 1.0 + 0.0j)
-    return DensityEstimate(lattice=lattice, coeffs=coeffs, floor=float(floor),
-                           _sample=(lattice, data.x, trig))
+    return DensityEstimate(lattice, lattice.basis(data.x).mean(axis=0), float(floor))
+
+
+def _series_coeffs(z, ratios):
+    """Coefficients ``(mean(u), mean(u_j Z_j))`` of the regression series."""
+    return np.concatenate(([np.mean(ratios)], ratios @ z / len(ratios)))
 
 
 def estimate_coeffs(data, density, lattice):
-    """Estimate the Fourier coefficients of the distorted regression.
+    """Estimate the real Fourier coefficients of the distorted regression.
 
-    Returns the complex array ``rhat`` with
-    ``rhat[k] = (1/n) sum_j [y_j / g_hat(x_j)] exp(-i 2 pi k . x_j)``
-    for every lattice index, where the density is evaluated with its
-    clamp so no term divides by a value at or below zero.  Conjugate
-    symmetry ``rhat(-k) == conj(rhat(k))`` holds exactly.
+    Returns ``c`` of length N with ``c[0] = (1/n) sum_j u_j`` and
+    ``c[1:] = (1/n) sum_j u_j basis(x_j)``, where ``u_j = y_j / g_hat(x_j)``
+    uses the clamped density so no term divides by a value at or below
+    zero.  In complex form the coefficient of the i-th upper-half index k
+    has real part ``c[2i + 1] / sqrt(2)`` and imaginary part
+    ``-c[2i + 2] / sqrt(2)``; that of -k is its conjugate.
     """
-    ratios = data.y / density.evaluate(data.x)
-    trig = _upper_trig(lattice, data.x, density)
-    return _mirrored_coeffs(trig, ratios, np.mean(ratios) + 0.0j)
+    return _series_coeffs(lattice.basis(data.x), data.y / density.evaluate(data.x))
 
 
 @dataclass(frozen=True)
 class RegressionFit:
     """Fitted regression surface, residuals and their empirical law.
 
-    ``sigma_hat`` is the root mean square of the residuals and ``z`` the
-    standardized residuals in data order; ``z_sorted`` backs the
-    right-continuous empirical distribution function.
+    The surface is ``coeffs[0] + basis(x) @ coeffs[1:]`` with the
+    coefficients of :func:`estimate_coeffs`.  ``sigma_hat`` is the root
+    mean square of the residuals and ``z`` the standardized residuals in
+    data order; ``z_sorted`` backs the right-continuous empirical
+    distribution function.
     """
 
     lattice: FreqLattice
-    rhat: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
     density: DensityEstimate
     residuals: np.ndarray = field(repr=False)
     sigma_hat: float
@@ -198,9 +155,8 @@ class RegressionFit:
     def predict(self, x):
         """Fitted surface at arbitrary points via the coefficient form."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        vals = _eval_series(_upper_trig(self.lattice, np.atleast_2d(x)), self.rhat)
-        return float(vals[0]) if single else vals
+        vals = self.coeffs[0] + self.lattice.basis(np.atleast_2d(x)) @ self.coeffs[1:]
+        return float(vals[0]) if x.ndim == 1 else vals
 
     def ecdf(self, t):
         """Empirical distribution of the standardized residuals at ``t``."""
@@ -218,9 +174,10 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     error-distribution test is undefined for an interpolating fit, or when
     it is not finite because the squared residuals overflow.
     """
-    density = estimate_density(data, lattice, floor)
-    rhat = estimate_coeffs(data, density, lattice)
-    residuals = data.y - _eval_series(_upper_trig(lattice, data.x, density), rhat)
+    basis = lattice.basis(data.x)
+    density = DensityEstimate(lattice, basis.mean(axis=0), float(floor))
+    coeffs = _series_coeffs(basis, data.y / density._at(basis))
+    residuals = data.y - (coeffs[0] + basis @ coeffs[1:])
     sigma_hat = float(np.sqrt(np.mean(residuals**2)))
     if not np.isfinite(sigma_hat):
         raise DegenerateFitError(
@@ -235,7 +192,7 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     z = residuals / sigma_hat
     return RegressionFit(
         lattice=lattice,
-        rhat=rhat,
+        coeffs=coeffs,
         density=density,
         residuals=residuals,
         sigma_hat=sigma_hat,

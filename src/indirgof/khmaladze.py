@@ -29,7 +29,6 @@ from scipy.special import log_ndtr, ndtr
 
 from .errors import InsufficientDataError, QuadratureError, SingularMatrixError
 from .nulls import score_h
-from .nulls import gamma_closed_form_gaussian  # noqa: F401  (re-exported)
 
 #: Number of scan-grid points for the accumulated integral G0.
 DEFAULT_SCAN_GRID = 4096

@@ -164,12 +164,12 @@ def ktheta_true(model, x):
     return float(vals[0]) if single else vals
 
 
-def paper_model(error="normal", design="uniform", psi=None):
+def paper_model(error="normal", design="uniform"):
     """Simulation-study model with the requested error law and design."""
     sampler = error if isinstance(error, ErrorSampler) else get_sampler(error)
     return SyntheticModel(
         theta_coeffs=THETA_COEFFS,
-        psi_coeffs=psi if psi is not None else LaplaceProductPsi(),
+        psi_coeffs=LaplaceProductPsi(),
         covariate_law=design,
         error_sampler=sampler,
     )

@@ -8,8 +8,9 @@ weight function
 
 is the multivariate Dirichlet kernel of the sharp spectral cutoff: every
 index inside the radius carries weight 1.  Because the lattice is closed
-under negation, the complex exponential form of W has an exactly
-cancelling imaginary part; all evaluation here uses the real cosine form.
+under negation, every real series on it is the constant plus a
+combination of the real basis Z(x) = sqrt(2) (cos, sin)(2*pi*k.x) over
+its upper half; in particular W(x - x') = 1 + Z(x).Z(x').
 """
 
 from dataclasses import dataclass
@@ -68,6 +69,19 @@ class FreqLattice:
         """2*pi*k.x for every lattice index, shape ``(P, N)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return TWO_PI * (x @ self.indices.T.astype(float))
+
+    def basis(self, x):
+        """Real Fourier basis of the upper half, shape ``(P, N - 1)``.
+
+        Columns ``2i`` and ``2i + 1`` hold sqrt(2) cos and sqrt(2) sin of the
+        phase of the i-th index after the zero frequency.
+        """
+        ph = self.phases(x)[:, self.zero_position + 1:]
+        z = np.empty((len(ph), 2 * ph.shape[1]))
+        np.cos(ph, out=z[:, 0::2])
+        np.sin(ph, out=z[:, 1::2])
+        z *= np.sqrt(2.0)
+        return z
 
 
 def enumerate_lattice(m, radius, cap=DEFAULT_LATTICE_CAP):

@@ -21,8 +21,7 @@ from indirgof.estimation import (
     estimate_coeffs,
     estimate_density,
 )
-from indirgof.khmaladze import gamma_closed_form_gaussian
-from indirgof.nulls import score_h
+from indirgof.nulls import gamma_closed_form_gaussian, score_h
 from indirgof.spectral import weight_matrix
 
 
@@ -133,9 +132,9 @@ def refit_loo_prediction(data, lattice, floor, j):
     keep = np.arange(data.n) != j
     reduced = Dataset(x=data.x[keep], y=data.y[keep])
     density = estimate_density(reduced, lattice, floor)
-    rhat = estimate_coeffs(reduced, density, lattice)
-    ph = lattice.phases(data.x[j][None, :])
-    return float((np.cos(ph) @ rhat.real - np.sin(ph) @ rhat.imag)[0])
+    c = estimate_coeffs(reduced, density, lattice)
+    ph = lattice.phases(data.x[j][None, :])[0, lattice.zero_position + 1:]
+    return float(c[0] + np.sqrt(2.0) * (np.cos(ph) @ c[1::2] + np.sin(ph) @ c[2::2]))
 
 
 def smoothing_weight(lattice, x):

@@ -14,12 +14,8 @@ import pytest
 from scipy.integrate import quad
 
 import indirgof as ig
-from indirgof.khmaladze import (
-    brownian_sup_quantile,
-    gamma_closed_form_gaussian,
-    gamma_quadrature,
-)
-from indirgof.nulls import gaussian_null
+from indirgof.khmaladze import brownian_sup_quantile, gamma_quadrature
+from indirgof.nulls import gamma_closed_form_gaussian, gaussian_null
 from indirgof.simulation import paper_model, power_study
 
 from helpers import oracle_points_for, xi_oracle, xi_production_at

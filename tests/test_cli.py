@@ -430,3 +430,37 @@ def test_run_config_validates_alpha():
 def test_run_rejects_unknown_input(tmp_path):
     cfg = RunConfig(command="test", input=str(tmp_path / "nope.csv"))
     assert run(cfg) == 1
+
+
+def test_unwritable_error_record_is_reported(tmp_path, capsys):
+    # the error record cannot go into the missing directory either; the
+    # run says so on stderr instead of raising
+    src = tmp_path / "d.csv"
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 40,
+                               np.random.default_rng(414)), src)
+    missing = tmp_path / "no" / "dir"
+    rc = main(["test", str(src), "--out", str(missing / "r.json"),
+               "--error-json", str(missing / "e.json")])
+    assert rc == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert "output directory does not exist" in stderr
+    assert "cannot write the error record" in stderr
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--config", "{cfg}"], "unknown config key 'bandwidth'"),
+    (["test", "{csv}", "--alpha", "2"], "alpha must lie in (0, 1)"),
+])
+def test_configuration_errors_write_error_record(tmp_path, capsys, argv, message):
+    cfg, csv, err = tmp_path / "bad.cfg", tmp_path / "d.csv", tmp_path / "e.json"
+    cfg.write_text("bandwidth = 3\n")
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 40,
+                               np.random.default_rng(415)), csv)
+    argv = [a.format(cfg=cfg, csv=csv) for a in argv] + ["--error-json", str(err)]
+    assert main(argv) == 1
+    record = json.loads(err.read_text())
+    assert record["error"] == "ValueError" and message in record["message"]
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and message in stderr

@@ -51,19 +51,14 @@ class TestDensityEstimate:
         data = Dataset(x=rng.random((50, 2)), y=rng.random(50))
         lat = enumerate_lattice(2, 2)
         dens = estimate_density(data, lat)
-        assert dens.coeffs[lat.zero_position] == 1.0 + 0.0j
+        # the constant term is exactly 1; coeffs hold the rest of the series
+        assert dens.coeffs.shape == (lat.size - 1,)
+        assert_allclose(dens.coeffs, lat.basis(data.x).mean(axis=0), atol=1e-15)
         # rectangle rule integrates the trigonometric polynomial exactly
         grid = (np.arange(12) + 0.5) / 12
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         assert np.mean(dens.evaluate(pts, clamped=False)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_conjugate_symmetry_exact(self):
-        rng = np.random.default_rng(12)
-        data = Dataset(x=rng.random((30, 2)), y=rng.random(30))
-        lat = enumerate_lattice(2, 2.5)
-        dens = estimate_density(data, lat)
-        assert_array_equal(dens.coeffs, np.conj(dens.coeffs[::-1]))
 
     def test_clamp_applies_floor(self):
         data = Dataset(x=[[0.0], [0.01]], y=[0.0, 0.0])
@@ -91,21 +86,28 @@ class TestDensityEstimate:
         assert np.max(np.abs(dens.evaluate(pts, clamped=False) - 1.0)) < 0.15
 
 
+def _complex_coeffs(c):
+    """Complex rhat over the whole lattice from the real coefficients."""
+    upper = (c[1::2] - 1j * c[2::2]) / np.sqrt(2.0)
+    return np.concatenate([np.conj(upper[::-1]), c[:1], upper])
+
+
 class TestEstimateCoeffs:
     def test_single_point(self):
         data = Dataset(x=[[0.0]], y=[4.2])
         lat = enumerate_lattice(1, 1)
         dens = estimate_density(data, lat)
-        rhat = estimate_coeffs(data, dens, lat)
-        g0 = dens.evaluate(np.array([0.0]))
-        assert_allclose(rhat, np.full(3, 4.2 / g0 + 0.0j), atol=1e-12)
+        coeffs = estimate_coeffs(data, dens, lat)
+        u = 4.2 / dens.evaluate(np.array([0.0]))
+        # basis(0) = (sqrt(2), 0), so the complex rhat is u at k = -1, 0, 1
+        assert_allclose(coeffs, [u, np.sqrt(2.0) * u, 0.0], atol=1e-12)
 
     def test_zero_response(self):
         rng = np.random.default_rng(13)
         data = Dataset(x=rng.random((25, 2)), y=np.zeros(25))
         lat = enumerate_lattice(2, 1)
         dens = estimate_density(data, lat)
-        assert_array_equal(estimate_coeffs(data, dens, lat), np.zeros(5, dtype=complex))
+        assert_array_equal(estimate_coeffs(data, dens, lat), np.zeros(5))
 
     def test_recovers_known_coefficients(self):
         # noiseless draw from the trigonometric regression distorted by
@@ -115,21 +117,13 @@ class TestEstimateCoeffs:
         data = generate(model, 4000, rng)
         lat = enumerate_lattice(2, 3)
         dens = estimate_density(data, lat)
-        rhat = estimate_coeffs(data, dens, lat)
+        rhat = _complex_coeffs(estimate_coeffs(data, dens, lat))
         psi = LaplaceProductPsi()
         for i, k in enumerate(lat.indices):
             if np.linalg.norm(k) > 2:
                 continue
             truth = psi(k[None, :])[0] * THETA_COEFFS.get(tuple(k), 0.0)
             assert abs(rhat[i] - truth) < 0.05
-
-    def test_conjugate_symmetry_exact(self):
-        rng = np.random.default_rng(14)
-        data = Dataset(x=rng.random((40, 1)), y=rng.normal(size=40))
-        lat = enumerate_lattice(1, 4)
-        dens = estimate_density(data, lat)
-        rhat = estimate_coeffs(data, dens, lat)
-        assert_array_equal(rhat, np.conj(rhat[::-1]))
 
 
 class TestFit:
@@ -205,7 +199,7 @@ class TestFit:
         f = fit(data, enumerate_lattice(1, 3))
         pts = rng.random((30, 1))
         ph = f.lattice.phases(pts)
-        complex_vals = (np.exp(1j * ph) * f.rhat).sum(axis=1)
+        complex_vals = (np.exp(1j * ph) * _complex_coeffs(f.coeffs)).sum(axis=1)
         scale = np.maximum(np.abs(complex_vals.real), 1.0)
         assert np.max(np.abs(complex_vals.imag) / scale) < 1e-10
         assert_allclose(f.predict(pts), complex_vals.real, atol=1e-10)
@@ -218,7 +212,7 @@ def _fit_with_standardized(z):
     lat = enumerate_lattice(1, 1)
     data = Dataset(x=[[0.2], [0.5], [0.8]], y=[0.0, 0.0, 0.0])
     dens = estimate_density(data, lat)
-    return RegressionFit(lattice=lat, rhat=np.zeros(3, dtype=complex),
+    return RegressionFit(lattice=lat, coeffs=np.zeros(3),
                          density=dens, residuals=z.copy(), sigma_hat=1.0,
                          z=z, z_sorted=np.sort(z))
 

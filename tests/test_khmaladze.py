@@ -16,13 +16,17 @@ from indirgof.khmaladze import (
     brownian_sup_tail,
     build_scan,
     decide,
-    gamma_closed_form_gaussian,
     gamma_quadrature,
     statistic,
     transform,
     transform_standardized,
 )
-from indirgof.nulls import gaussian_null, score_h, student_t_null
+from indirgof.nulls import (
+    gamma_closed_form_gaussian,
+    gaussian_null,
+    score_h,
+    student_t_null,
+)
 from indirgof.simulation import (
     THETA_COEFFS,
     IdentityPsi,

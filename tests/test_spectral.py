@@ -118,3 +118,23 @@ class TestWeightMatrix:
         x = rng.random((20, 1))
         mat = weight_matrix(lat, x)
         assert_array_equal(mat, mat.T)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_products_give_weight_matrix(self, m):
+        rng = np.random.default_rng(20 + m)
+        lat = enumerate_lattice(m, 2.5)
+        x, x_other = rng.random((9, m)), rng.random((7, m))
+        pairs = weight_matrix(lat, np.vstack([x, x_other]))[:9, 9:]
+        assert_allclose(1.0 + lat.basis(x) @ lat.basis(x_other).T, pairs, atol=1e-12)
+
+    def test_column_layout(self):
+        rng = np.random.default_rng(24)
+        lat = enumerate_lattice(2, 2)
+        x = rng.random((5, 2))
+        z = lat.basis(x)
+        assert z.shape == (5, lat.size - 1) and z.dtype == np.float64
+        ph = lat.phases(x)[:, lat.zero_position + 1:]
+        assert_allclose(z[:, 0::2], np.sqrt(2.0) * np.cos(ph), atol=1e-15)
+        assert_allclose(z[:, 1::2], np.sqrt(2.0) * np.sin(ph), atol=1e-15)
