@@ -20,6 +20,7 @@ asymptotically distributed as the supremum of |Brownian motion| on
 [0, 1], so its critical values do not depend on the null law.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -93,14 +94,62 @@ class ScanFunction:
         )
 
 
+def _solve_spd(gam, b):
+    """Solve ``gam x = b`` for a stack of SPD 3x3 matrices by closed-form Cholesky.
+
+    ``gam`` has shape ``(k, 3, 3)`` and ``b`` shape ``(k, 3)``.  The factor
+    L (gam = L L^T) and both substitutions are written out over the six
+    upper-triangle entries, vectorized over the stack.
+    """
+    l00 = np.sqrt(gam[:, 0, 0])
+    l10 = gam[:, 0, 1] / l00
+    l20 = gam[:, 0, 2] / l00
+    l11 = np.sqrt(gam[:, 1, 1] - l10 * l10)
+    l21 = (gam[:, 1, 2] - l10 * l20) / l11
+    l22 = np.sqrt(gam[:, 2, 2] - l20 * l20 - l21 * l21)
+    y0 = b[:, 0] / l00
+    y1 = (b[:, 1] - l10 * y0) / l11
+    y2 = (b[:, 2] - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return np.stack([x0, x1, x2], axis=-1)
+
+
+def _check_condition(grid, gam):
+    """Raise :class:`SingularMatrixError` at the first unusable grid point.
+
+    The end-point bound (see :func:`build_scan`) must clear the limit by a
+    factor of two, far more than eigenvalue rounding (about 1e-16 times
+    the condition number, relative) can move it.
+    """
+    ends = np.linalg.eigvalsh(gam[[0, -1]])
+    if ends[1, 0] > 0.0 and 2.0 * ends[0, -1] <= GAMMA_CONDITION_LIMIT * ends[1, 0]:
+        return
+    eigs = np.linalg.eigvalsh(gam)
+    bad = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > GAMMA_CONDITION_LIMIT * eigs[:, 0])
+    if np.any(bad):
+        t_bad = float(grid[int(np.argmax(bad))])
+        raise SingularMatrixError(
+            f"tail information matrix exceeds condition limit "
+            f"{GAMMA_CONDITION_LIMIT:.0e} at t={t_bad:.6g}"
+        )
+
+
 def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
     """Accumulate G0 by the trapezoid rule on a uniform grid up to ``t0``.
 
     The grid starts at the 1e-6 quantile of the null law, below which the
     neglected mass contributes nothing at the tolerances of interest.
-    Each grid point costs one symmetric 3x3 solve; a condition number
-    above 1e12 (expected only as t -> +inf, excluded by the choice of
-    t0) raises :class:`SingularMatrixError` naming the offending point.
+    Gamma must have condition number at most ``GAMMA_CONDITION_LIMIT``
+    (1e12) on the whole grid; it degenerates only as t -> +inf, which the
+    choice of t0 excludes.  As a tail integral of the PSD h h^T f, Gamma
+    shrinks in the Loewner order, so every grid point s has
+    cond Gamma(s) <= lambda_max(Gamma(t_lo)) / lambda_min(Gamma(t0)).
+    Only the two end matrices are decomposed unless that bound fails;
+    then every point is checked and :class:`SingularMatrixError` names
+    the first offending one.  Each point costs one closed-form 3x3
+    Cholesky solve.
     A grid needs at least two points to reach ``t0``.
     """
     grid_size = int(grid_size)
@@ -116,17 +165,10 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
         )
     grid = np.linspace(t_lo, t0, grid_size)
     gam = null.tail_matrix(grid)
-    eigs = np.linalg.eigvalsh(gam)
-    bad = (eigs[:, 0] <= 0.0) | (eigs[:, -1] > GAMMA_CONDITION_LIMIT * eigs[:, 0])
-    if np.any(bad):
-        t_bad = float(grid[int(np.argmax(bad))])
-        raise SingularMatrixError(
-            f"tail information matrix exceeds condition limit "
-            f"{GAMMA_CONDITION_LIMIT:.0e} at t={t_bad:.6g}"
-        )
+    _check_condition(grid, gam)
     h = score_h(null, grid)
     f = np.asarray(null.pdf(grid), dtype=float)
-    solved = np.linalg.solve(gam, h[..., None])[..., 0]
+    solved = _solve_spd(gam, h)
     values = cumulative_trapezoid(solved * f[:, None], grid, axis=0, initial=0.0)
     return ScanFunction(grid=grid, values=values)
 
@@ -182,19 +224,19 @@ def transform_standardized(z, null):
     total_h = pref_h[-1]
     root_n = math.sqrt(n)
 
-    def evaluate(ts, side):
+    def evaluate(ts, g0, side):
         idx = np.searchsorted(z, ts, side=side)
-        g0 = scan(ts)
         suffix = total_h[None, :] - pref_h[idx]
         comp = (pref_dot[idx] + np.einsum("ij,ij->i", g0, suffix)) / n
         return root_n * (idx / n - comp)
 
     jumps = np.unique(z[z <= t0])
     pts = np.concatenate([scan.grid, jumps, jumps])
+    g_jumps = scan(jumps)
     vals = np.concatenate([
-        evaluate(scan.grid, "right"),
-        evaluate(jumps, "left"),
-        evaluate(jumps, "right"),
+        evaluate(scan.grid, scan.values, "right"),
+        evaluate(jumps, g_jumps, "left"),
+        evaluate(jumps, g_jumps, "right"),
     ])
     # Stable order: ascending t, left limits before values at the point.
     is_left = np.concatenate([
@@ -277,12 +319,14 @@ def brownian_sup_log10_tail(q):
     return (math.log(4.0) + lead + math.log1p(rest)) / math.log(10.0)
 
 
+@functools.lru_cache
 def brownian_sup_quantile(alpha):
     """Upper alpha-quantile of sup |B| on [0, 1], accurate to 1e-6.
 
     Bisection of the log10 tail on (1e-6, 10], extending the bracket
     upward for the rare alpha below the tail mass at 10; on the log scale
-    alpha below the underflow point of the tail keeps its quantile.
+    alpha below the underflow point of the tail keeps its quantile.  The
+    result depends on alpha alone, so it is cached per alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

@@ -58,8 +58,9 @@ def power_table_500():
 
 def test_criterion_1_brownian_quantile(announce):
     value = brownian_sup_quantile(0.05)
+    # time the bisection itself, not a hit in the per-alpha cache
     best = min(
-        _timed(lambda: brownian_sup_quantile(0.05)) for _ in range(20)
+        _timed(lambda: brownian_sup_quantile.__wrapped__(0.05)) for _ in range(20)
     )
     ok = abs(value - 2.2414) <= 5e-4 and best < 1e-3
     announce(1, ok,

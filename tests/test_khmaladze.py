@@ -9,8 +9,11 @@ from numpy.testing import assert_allclose
 from indirgof.bandwidth import cv_select, default_radius_grid
 from indirgof.errors import InsufficientDataError, SingularMatrixError
 from indirgof.estimation import Dataset, fit
+from indirgof import khmaladze
 from indirgof.khmaladze import (
+    DEFAULT_SCAN_GRID,
     ProcessTrace,
+    _solve_spd,
     brownian_sup_log10_tail,
     brownian_sup_quantile,
     brownian_sup_tail,
@@ -110,6 +113,20 @@ class TestTailMatrices:
                         rtol=0, atol=0)
 
 
+@pytest.fixture
+def eigvalsh_batches(monkeypatch):
+    """Batch shapes of every ``np.linalg.eigvalsh`` call made while active."""
+    batches = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        batches.append(a.shape[:-2])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return batches
+
+
 class TestBuildScan:
     def test_zero_at_lower_end(self):
         scan = build_scan(NULL, 2.0, 512)
@@ -138,9 +155,36 @@ class TestBuildScan:
         )
         assert np.max(rel) < 1e-6
 
-    def test_singularity_reported_with_location(self):
-        with pytest.raises(SingularMatrixError, match="t="):
-            build_scan(NULL, 12.0, 512)
+    @pytest.mark.parametrize("null_factory, t0, where", [
+        (gaussian_null, 12.0, "t=10.9836"), (student_t_null, 300.0, "t=127.639"),
+    ], ids=["gaussian", "student-t"])
+    def test_singularity_reported_with_location(self, null_factory, t0, where):
+        # the first failing grid point, as the full per-point check names it
+        with pytest.raises(SingularMatrixError, match=f"at {where}$"):
+            build_scan(null_factory(), t0, 512)
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_well_conditioned_scan_decomposes_two_matrices(self, null_factory,
+                                                           eigvalsh_batches):
+        build_scan(null_factory(), 2.5)
+        assert eigvalsh_batches == [(2,)]
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_failed_bound_falls_back_to_full_check(self, null_factory, monkeypatch,
+                                                   eigvalsh_batches):
+        null = null_factory()
+        expected = build_scan(null, 2.5)
+        eigs = np.linalg.eigvalsh(null.tail_matrix(expected.grid))
+        worst = float(np.max(eigs[:, -1] / eigs[:, 0]))
+        bound = float(eigs[0, -1] / eigs[-1, 0])
+        assert worst < bound
+        monkeypatch.setattr(khmaladze, "GAMMA_CONDITION_LIMIT", math.sqrt(worst * bound))
+        eigvalsh_batches.clear()
+        scan = build_scan(null, 2.5)
+        assert eigvalsh_batches == [(2,), (len(expected.grid),)]
+        assert np.array_equal(scan.grid, expected.grid)
+        assert np.array_equal(scan.values, expected.values)
+
 
     def test_infinite_t0_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +195,28 @@ class TestBuildScan:
         # a one-point grid is [t_lo]: it never reaches t0 and G0 would be 0
         with pytest.raises(ValueError, match=f"got {grid_size}"):
             build_scan(NULL, 2.0, grid_size)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    @pytest.mark.parametrize("t0", [-1.0, 0.5, 2.5, 4.0])
+    def test_matches_lapack_solve(self, null_factory, t0):
+        # Both solvers are backward stable, so they agree to 1e-12 relative
+        # up to the rounding the conditioning of Gamma amplifies: about
+        # eps * cond, which reaches 5e-9 at t0 = 4 for the Gaussian null.
+        null = null_factory()
+        grid = np.linspace(float(null.quantile(1e-6)), t0, DEFAULT_SCAN_GRID)
+        gam = null.tail_matrix(grid)
+        h = score_h(null, grid)
+        got = _solve_spd(gam, h)
+        ref = np.linalg.solve(gam, h[..., None])[..., 0]
+        eps = np.finfo(float).eps
+        scale = np.max(np.abs(ref), axis=1)
+        tol = np.maximum(1e-12, 8.0 * eps * np.linalg.cond(gam))
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= tol * scale)
+        residual = np.max(np.abs(np.einsum("kij,kj->ki", gam, got) - h), axis=1)
+        norm_gam = np.max(np.sum(np.abs(gam), axis=2), axis=1)
+        assert np.all(residual <= 8.0 * eps * norm_gam * np.max(np.abs(got), axis=1))
 
 
 class _StubFit:
@@ -227,6 +293,36 @@ class TestTransform:
         z = z / np.sqrt(np.mean(z**2))
         trace = transform_standardized(z, null)
         assert np.all(np.isfinite(trace.values))
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_grid_values_need_no_interpolation(self, null_factory):
+        # The process on the scan grid reads G0 from the scan's own values;
+        # interpolating G0 at every point, grid included, gives the same bits.
+        null = null_factory()
+        z = np.sort(null.sample(np.random.default_rng(59), 300))
+        trace = transform_standardized(z, null)
+        scan = build_scan(null, trace.t0)
+        n, h = len(z), score_h(null, z)
+        g_at_z = scan(np.minimum(z, trace.t0))
+        pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at_z, h))])
+        pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
+
+        def interpolated(ts, side):
+            idx = np.searchsorted(z, ts, side=side)
+            suffix = pref_h[-1][None, :] - pref_h[idx]
+            comp = (pref_dot[idx] + np.einsum("ij,ij->i", scan(ts), suffix)) / n
+            return math.sqrt(n) * (idx / n - comp)
+
+        jumps = np.unique(z[z <= trace.t0])
+        pts = np.concatenate([scan.grid, jumps, jumps])
+        vals = np.concatenate([interpolated(scan.grid, "right"),
+                               interpolated(jumps, "left"),
+                               interpolated(jumps, "right")])
+        is_left = np.concatenate([np.zeros(len(scan.grid)), -np.ones(len(jumps)),
+                                  np.zeros(len(jumps))])
+        order = np.lexsort((is_left, pts))
+        assert np.array_equal(trace.eval_points, pts[order])
+        assert np.array_equal(trace.values, vals[order])
 
     def test_trace_rejects_points_beyond_t0(self):
         with pytest.raises(ValueError, match="t0"):
@@ -325,6 +421,13 @@ class TestBrownianQuantiles:
         (0.1, "0x1.f5c0331d2b659p+0"), (1e-12, "0x1.ce6b4d01ee67ap+2")])
     def test_quantile_values_frozen(self, alpha, bits):
         assert brownian_sup_quantile(alpha) == float.fromhex(bits)
+        assert brownian_sup_quantile.__wrapped__(alpha) == float.fromhex(bits)
+
+    def test_quantile_cached_per_alpha(self):
+        brownian_sup_quantile.cache_clear()
+        first = brownian_sup_quantile(0.05)
+        assert brownian_sup_quantile(0.05) is first
+        assert brownian_sup_quantile.cache_info().hits == 1
 
 
 def _null_dataset(rng, n=120):
