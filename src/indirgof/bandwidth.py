@@ -103,6 +103,8 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
         All (radius, score) pairs in the given order and the argmin; ties
         break toward the smaller radius.
     """
+    if not floor > 0:
+        raise ValueError(f"density floor must be positive, got {floor}")
     if data.n < 3:
         raise InsufficientDataError(
             f"cross-validation needs at least 3 observations, got {data.n}"

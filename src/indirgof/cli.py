@@ -9,8 +9,9 @@ only, grid and residual exports), ``simulate`` (Monte-Carlo study) and
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import DataFormatError, IndirgofError, InsufficientDataError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from .khmaladze import decide
 from .nulls import get_null
-from .simulation import COVARIATE_LAWS, paper_model, power_study
+from .simulation import COVARIATE_LAWS, PowerRow, paper_model, power_study
 from .spectral import enumerate_lattice
 
 REPORT_SCHEMA_VERSION = 3
@@ -49,86 +50,79 @@ def anscombe_inverse(z):
 # Dataset I/O
 # ---------------------------------------------------------------------------
 
+def _covariate_names(m):
+    """CSV column names ``x1..xm`` of the covariates."""
+    return [f"x{i}" for i in range(1, m + 1)]
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length ``columns`` as a CSV file under the ``header`` names.
+
+    A column is a 1-D array or a sequence of Python scalars.  Cells are
+    written by ``str``, which equals ``repr`` for a Python float, so floats
+    round-trip exactly.
+    """
+    cells = [map(str, np.asarray(col).tolist()) for col in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
 def load_csv(path):
     """Read a dataset from a CSV file with header ``x1,...,xm,y``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
-    expected = [f"x{i}" for i in range(1, len(header))] + ["y"]
-    if len(header) < 2 or header != expected:
+    m = len(header) - 1
+    if m < 1 or header != _covariate_names(m) + ["y"]:
         raise DataFormatError(
             f"{path}: header must be x1,...,xm,y; got {','.join(header)}"
         )
-    m = len(header) - 1
     if len(lines) == 1:
         raise InsufficientDataError(f"{path}: no data rows")
     xs, ys = [], []
     for row_no, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != m + 1:
             raise DataFormatError(
                 f"{path}: row {row_no} has {len(cells)} cells, expected {m + 1}"
             )
+        values = []
         try:
-            values = [float(c) for c in cells]
+            for cell in cells:
+                values.append(float(cell))
         except ValueError:
-            bad = next(c for c in cells if not _is_number(c))
             raise DataFormatError(
-                f"{path}: row {row_no} contains non-numeric cell {bad!r}"
+                f"{path}: row {row_no} contains non-numeric cell {cell.strip()!r}"
             ) from None
-        coords = values[:m]
-        if any(not 0.0 <= c <= 1.0 for c in coords):
-            raise DataFormatError(
-                f"{path}: row {row_no} has a coordinate outside [0, 1]"
-            )
-        xs.append(coords)
+        if any(not 0.0 <= c <= 1.0 for c in values[:m]):
+            raise DataFormatError(f"{path}: row {row_no} has a coordinate outside [0, 1]")
+        xs.append(values[:m])
         ys.append(values[m])
     return Dataset(x=np.array(xs), y=np.array(ys))
 
 
-def _is_number(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def write_dataset_csv(data, path):
     """Write a dataset in the format :func:`load_csv` reads, losslessly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i}" for i in range(1, data.m + 1)) + ",y\n")
-        for row, y in zip(data.x, data.y):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{float(y)!r}\n")
+    _write_csv(path, _covariate_names(data.m) + ["y"], [*data.x.T, data.y])
 
 
 # ---------------------------------------------------------------------------
 # Image ingestion
 # ---------------------------------------------------------------------------
 
+# A PGM header token after whitespace and comments (``#`` to the end of the
+# line); the lookaheads stop a comment or a token from matching in part.
+_PGM_TOKEN = rb"(?:[ \t\r\n]|#[^\r\n]*(?![^\r\n]))*([^ \t\r\n#][^ \t\r\n]*)(?![^ \t\r\n])"
+_PGM_HEADER = re.compile(_PGM_TOKEN * 4)
+
+
 def _read_pgm(raw, path):
-    tokens = []
-    pos = 0
-    i, n = 0, len(raw)
-    while i < n and len(tokens) < 4:
-        c = raw[i:i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            while i < n and raw[i:i + 1] not in b"\r\n":
-                i += 1
-            continue
-        j = i
-        while j < n and raw[j:j + 1] not in b" \t\r\n":
-            j += 1
-        tokens.append(raw[i:j])
-        pos = j
-        i = j
-    if len(tokens) < 4:
+    header = _PGM_HEADER.match(raw)
+    if header is None:
         raise DataFormatError(f"{path}: truncated PGM header")
+    tokens, pos = header.groups(), header.end()
     magic = tokens[0].decode("ascii", "replace")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
@@ -145,9 +139,8 @@ def _read_pgm(raw, path):
             raise DataFormatError(f"{path}: non-numeric P2 raster data") from None
     elif magic == "P5":
         start = pos + 1  # exactly one whitespace byte after maxval
-        dtype = ">u2" if maxval > 255 else "u1"
-        itemsize = 2 if maxval > 255 else 1
-        need = width * height * itemsize
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        need = width * height * dtype.itemsize
         body = raw[start:start + need]
         if len(body) != need:
             raise DataFormatError(f"{path}: P5 raster shorter than header promises")
@@ -288,7 +281,9 @@ def _select_and_fit(data, config):
         cv_report = None
         radius = float(config.radius)
     else:
-        radii = config.cv_grid or default_radius_grid(data.n, data.m)
+        radii = config.cv_grid
+        if radii is None:
+            radii = default_radius_grid(data.n, data.m)
         cv_report = cv_select(data, radii, config.floor)
         radius = cv_report.chosen
     lattice = enumerate_lattice(data.m, radius)
@@ -310,25 +305,18 @@ def _write_report(config, report, cv_report, caveats=()):
     return payload
 
 
-def _write_qq(config, fitted, null):
-    n = fitted.n
-    probs = (np.arange(1, n + 1) - 0.5) / n
-    theo = np.asarray(null.quantile(probs), dtype=float)
-    with open(config.qq_out, "w", encoding="utf-8") as fh:
-        fh.write("z_sorted,null_quantile\n")
-        for z, q in zip(fitted.z_sorted, theo):
-            fh.write(f"{float(z)!r},{float(q)!r}\n")
-
-
 def _run_test_on(data, config, caveats=()):
     null = get_null(config.null_name)
     cv_report, fitted = _select_and_fit(data, config)
     report = decide(fitted, null, config.alpha)
     _write_report(config, report, cv_report, caveats)
     if config.trace_out:
-        report.trace.to_csv(config.trace_out)
+        trace = report.trace
+        _write_csv(config.trace_out, ["t", "xi"], [trace.eval_points, trace.values])
     if config.qq_out:
-        _write_qq(config, fitted, null)
+        probs = (np.arange(1, fitted.n + 1) - 0.5) / fitted.n
+        _write_csv(config.qq_out, ["z_sorted", "null_quantile"],
+                   [fitted.z_sorted, null.quantile(probs)])
     return fitted, report
 
 
@@ -345,19 +333,12 @@ def _cmd_estimate(config):
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, data.m)
     values = fitted.predict(mesh)
     out = config.out or "fitted_grid.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i}" for i in range(1, data.m + 1)) + ",fitted\n")
-        for row, v in zip(mesh, values):
-            fh.write(",".join(repr(float(c)) for c in row) + f",{float(v)!r}\n")
+    names = _covariate_names(data.m)
+    _write_csv(out, names + ["fitted"], [*mesh.T, values])
     if config.residuals_out:
-        with open(config.residuals_out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"x{i}" for i in range(1, data.m + 1))
-                     + ",y,fitted,residual,z\n")
-            fitted_at = data.y - fitted.residuals
-            for row, y, fv, r, z in zip(data.x, data.y, fitted_at,
-                                        fitted.residuals, fitted.z):
-                fh.write(",".join(repr(float(c)) for c in row)
-                         + f",{float(y)!r},{float(fv)!r},{float(r)!r},{float(z)!r}\n")
+        _write_csv(config.residuals_out, names + ["y", "fitted", "residual", "z"],
+                   [*data.x.T, data.y, data.y - fitted.residuals,
+                    fitted.residuals, fitted.z])
     if config.data_out:
         write_dataset_csv(data, config.data_out)
     summary = {
@@ -381,13 +362,14 @@ def _cmd_simulate(config):
         cv_radii=config.cv_grid, floor=config.floor, workers=config.workers,
     )
     if config.out:
-        table.to_csv(config.out)
+        _write_csv(config.out, [f.name for f in fields(PowerRow)],
+                   zip(*map(astuple, table.rows)))
+    text = json.dumps(table.to_dict(), indent=2)
     if config.json_out:
         with open(config.json_out, "w", encoding="utf-8") as fh:
-            json.dump(table.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     if not config.out and not config.json_out:
-        print(json.dumps(table.to_dict(), indent=2))
+        print(text)
     return 0
 
 

@@ -193,12 +193,6 @@ class ProcessTrace:
         if len(self.eval_points) and float(np.max(self.eval_points)) > self.t0 + 1e-12:
             raise ValueError("evaluation points must not exceed t0")
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,xi\n")
-            for t, v in zip(self.eval_points, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
 
 def transform_standardized(z, null):
     """Transformed empirical process of pre-standardized residuals.

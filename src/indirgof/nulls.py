@@ -68,8 +68,12 @@ def _norm_score(t):
 
 def _symmetric(g00, g01, g02, g11, g12, g22):
     """Symmetric 3x3 matrices, shape ``g00.shape + (3, 3)``, from their upper triangles."""
-    rows = ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    out = np.empty(np.shape(g00) + (3, 3))
+    out[..., 0, 0], out[..., 1, 1], out[..., 2, 2] = g00, g11, g22
+    out[..., 0, 1] = out[..., 1, 0] = g01
+    out[..., 0, 2] = out[..., 2, 0] = g02
+    out[..., 1, 2] = out[..., 2, 1] = g12
+    return out
 
 
 def gamma_closed_form_gaussian(t):

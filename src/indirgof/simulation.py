@@ -12,7 +12,7 @@ sampling.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -226,13 +226,6 @@ class PowerTable:
 
     rows: tuple
     alpha: float
-
-    def to_csv(self, path):
-        """One column per :class:`PowerRow` field, in declaration order."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f.name for f in fields(PowerRow)) + "\n")
-            for r in self.rows:
-                fh.write(",".join(map(str, astuple(r))) + "\n")
 
     def to_dict(self):
         return {"alpha": self.alpha, "rows": [asdict(r) for r in self.rows]}

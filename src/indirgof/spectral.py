@@ -21,7 +21,7 @@ from .errors import LatticeCapError
 
 #: Hard cap on the number of candidate indices scanned when enumerating a
 #: lattice; (2*floor(radius)+1)**m grows quickly for m >= 3.
-DEFAULT_LATTICE_CAP = 10_000_000
+LATTICE_CAP = 10_000_000
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,7 +84,7 @@ class FreqLattice:
         return z
 
 
-def enumerate_lattice(m, radius, cap=DEFAULT_LATTICE_CAP):
+def enumerate_lattice(m, radius):
     """Enumerate all integer frequency vectors with Euclidean norm <= radius.
 
     Parameters
@@ -92,9 +92,8 @@ def enumerate_lattice(m, radius, cap=DEFAULT_LATTICE_CAP):
     m : int
         Dimension, at least 1.
     radius : float
-        Positive cutoff radius.
-    cap : int
-        Upper bound on the number of candidate indices scanned.
+        Positive cutoff radius.  At most :data:`LATTICE_CAP` candidate
+        indices may be scanned.
 
     Returns
     -------
@@ -107,10 +106,10 @@ def enumerate_lattice(m, radius, cap=DEFAULT_LATTICE_CAP):
         raise ValueError(f"radius must be positive, got {radius}")
     half = int(np.floor(radius))
     total = (2 * half + 1) ** m
-    if total > cap:
+    if total > LATTICE_CAP:
         raise LatticeCapError(
             f"frequency lattice scan of {total} candidate indices "
-            f"(m={m}, radius={radius}) exceeds the cap of {cap}"
+            f"(m={m}, radius={radius}) exceeds the cap of {LATTICE_CAP}"
         )
     axes = [np.arange(-half, half + 1, dtype=np.int64)] * m
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)

@@ -155,6 +155,13 @@ def test_nonpositive_radius_rejected(bad):
         cv_select(_uniform_data(rng, 20), [1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("floor", [float("nan"), 0.0, -1.0])
+def test_bad_density_floor_rejected(floor):
+    rng = np.random.default_rng(31)
+    with pytest.raises(ValueError, match="density floor must be positive"):
+        cv_select(_uniform_data(rng, 20), [1.0, 2.0, 3.0], floor=floor)
+
+
 def test_radius_over_lattice_cap_rejected():
     rng = np.random.default_rng(30)
     with pytest.raises(LatticeCapError):

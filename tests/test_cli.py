@@ -19,9 +19,13 @@ from indirgof.cli import (
     run,
     write_dataset_csv,
 )
+from indirgof.bandwidth import cv_select, default_radius_grid
 from indirgof.errors import DataFormatError, InsufficientDataError
-from indirgof.estimation import Dataset
+from indirgof.estimation import Dataset, fit
+from indirgof.khmaladze import decide
+from indirgof.nulls import get_null
 from indirgof.simulation import generate, paper_model, poisson_count_image
+from indirgof.spectral import enumerate_lattice
 
 
 class TestAnscombe:
@@ -125,6 +129,31 @@ class TestImageIo:
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(DataFormatError, match="shorter"):
+            read_image(path)
+
+    @pytest.mark.parametrize("raw, expected", [
+        # a comment between every header token, ended by CR or LF
+        (b"P2 # a\r#b\n3 #c\r2 # d 9\n#e\r9\n1 2 3\n4 5 6\n", [[1, 2, 3], [4, 5, 6]]),
+        (b"P2\t2\r\r1\t\r\n7\r7\t0\r\n", [[7, 0]]),
+        # the P5 raster starts exactly one byte after maxval, whatever it holds
+        (b"P5 3 1 255\n#\n\t", [[35, 10, 9]]),
+        (b"P5 3 1 255\n \n\t", [[32, 10, 9]]),
+        # int() ignores a trailing form feed, but the token ends after it
+        (b"P5 2 1 255\x0c\n\x07\x08", [[7, 8]]),
+    ])
+    def test_header_separators_and_comments(self, tmp_path, raw, expected):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(raw)
+        assert_array_equal(read_image(path), expected)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"P2 1 1\n# 9 5\n", "truncated PGM header"),  # comment text is no token
+        (b"P2 2\x0b1 9\n1 2\n", "non-numeric PGM header"),  # \v is no separator
+    ])
+    def test_header_token_boundaries(self, tmp_path, raw, message):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=message):
             read_image(path)
 
     def test_section_to_dataset(self, tmp_path):
@@ -420,6 +449,55 @@ def test_scan_grid_is_not_an_option(tmp_path, capsys):
     assert "unknown config key 'scan_grid'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["simulate", "--scan-grid", "4096"])
+
+
+@pytest.mark.parametrize("command", ["test", "estimate"])
+def test_empty_cv_grid_is_refused(tmp_path, capsys, command):
+    src = tmp_path / "d.csv"
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 200,
+                               np.random.default_rng(418)), src)
+    assert main([command, str(src), "--cv-grid", ",",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "candidate radius grid is empty" in capsys.readouterr().err
+
+
+def _read_csv_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), np.array([[float(c) for c in r.split(",")] for r in rows])
+
+
+def test_exports_parse_back_bit_for_bit(tmp_path):
+    src = tmp_path / "d.csv"
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 150,
+                               np.random.default_rng(419)), src)
+    trace_out, qq_out, res_out = (tmp_path / f"{k}.csv" for k in ("trace", "qq", "res"))
+    assert main(["test", str(src), "--null", "student-t", "--out", str(tmp_path / "r.json"),
+                 "--trace-out", str(trace_out), "--qq-out", str(qq_out)]) == 0
+    assert main(["estimate", str(src), "--out", str(tmp_path / "grid.csv"),
+                 "--residuals-out", str(res_out)]) == 0
+
+    data = load_csv(src)
+    radius = cv_select(data, default_radius_grid(data.n, data.m)).chosen
+    fitted = fit(data, enumerate_lattice(data.m, radius))
+    null = get_null("student-t")
+    trace = decide(fitted, null, 0.05).trace
+    quantiles = null.quantile((np.arange(1, data.n + 1) - 0.5) / data.n)
+
+    def same_bits(column, expected):
+        assert column.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+    header, cols = _read_csv_columns(trace_out)
+    assert header == ["t", "xi"]
+    same_bits(cols[:, 0], trace.eval_points)
+    same_bits(cols[:, 1], trace.values)
+    header, cols = _read_csv_columns(qq_out)
+    assert header == ["z_sorted", "null_quantile"]
+    same_bits(cols[:, 0], fitted.z_sorted)
+    same_bits(cols[:, 1], quantiles)
+    header, cols = _read_csv_columns(res_out)
+    assert header == ["x1", "x2", "y", "fitted", "residual", "z"]
+    same_bits(cols[:, 4], fitted.residuals)
+    same_bits(cols[:, 5], fitted.z)
 
 
 def test_run_config_validates_alpha():

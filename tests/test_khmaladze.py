@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,7 +381,6 @@ class TestBrownianQuantiles:
     def test_quantile_below_tail_underflow(self):
         # the tail underflows near q = 37.7; mpmath (50 digits) puts the
         # quantile of alpha = 1e-320 at 38.3053082
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             ref = mpmath.findroot(
                 lambda q: 2 * mpmath.erfc(q / mpmath.sqrt(2)) - mpmath.mpf("1e-320"), 38
@@ -396,7 +396,6 @@ class TestBrownianQuantiles:
     @pytest.mark.parametrize("q", [1.0, 1.3, 2.0, 2.2414, 3.0, 5.0, 10.0, 20.0,
                                    37.0, 37.7, 38.0, 50.0, 112.9, 150.0, 200.0])
     def test_log10_tail_matches_high_precision_series(self, q):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             x = mpmath.mpf(q)
             tail = 2 * sum((-1) ** k * mpmath.erfc((2 * k + 1) * x / mpmath.sqrt(2))

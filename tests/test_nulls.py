@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -144,7 +145,7 @@ def test_quantile_round_trip(null_factory):
     assert np.max(np.abs(null.cdf(null.quantile(ps)) - ps)) < 1e-10
 
 
-def _mp_student_t_tail_matrix(mpmath, df, t):
+def _mp_student_t_tail_matrix(df, t):
     """Tail information matrix of the unit-variance Student t by 40-digit quadrature."""
     df = mpmath.mpf(df)
     s = mpmath.sqrt(df / (df - 2))
@@ -170,12 +171,11 @@ def _mp_student_t_tail_matrix(mpmath, df, t):
 @pytest.mark.parametrize("df, rel", [(2.5, 1e-13), (3.0, 1e-13), (6.0, 1e-13),
                                      (30.0, 1e-13), (1e3, 1e-10), (1e5, 1e-10)])
 def test_student_t_tail_matrix_matches_high_precision_quadrature(df, rel):
-    mpmath = pytest.importorskip("mpmath")
     ts = [-12.0, -3.0, -1.0, 0.5, 1.3, 3.0, 6.0]
     closed = student_t_null(df).tail_matrix(np.array(ts))
     with mpmath.workdps(40):
         for t, got in zip(ts, closed):
-            ref = _mp_student_t_tail_matrix(mpmath, df, mpmath.mpf(t))
+            ref = _mp_student_t_tail_matrix(df, mpmath.mpf(t))
             assert_allclose(got, ref, rtol=rel, atol=0.0)
 
 

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from indirgof.cli import main
 from indirgof.nulls import ErrorSampler, get_sampler
 from indirgof.simulation import (
     THETA_COEFFS,
@@ -174,15 +176,15 @@ class TestPowerStudy:
         assert math.isnan(row.rate)
 
     def test_rows_and_serialization(self, tmp_path):
-        model = paper_model("normal", "uniform")
-        table = power_study([model], [50, 60], reps=2, alpha=0.05, seed=6)
-        assert [r.n for r in table.rows] == [50, 60]
-        assert all(r.reps == 2 for r in table.rows)
-        payload = table.to_dict()
+        out, json_out = tmp_path / "table.csv", tmp_path / "table.json"
+        assert main(["simulate", "--scenarios", "normal", "--n", "50,60",
+                     "--reps", "2", "--alpha", "0.05", "--seed", "6",
+                     "--out", str(out), "--json-out", str(json_out)]) == 0
+        payload = json.loads(json_out.read_text())
+        assert [r["n"] for r in payload["rows"]] == [50, 60]
+        assert all(r["reps"] == 2 for r in payload["rows"])
         assert payload["alpha"] == 0.05
         assert len(payload["rows"]) == 2
-        out = tmp_path / "table.csv"
-        table.to_csv(out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "error,design,n,reps,rejections,failures,rate,seed"
         assert len(lines) == 3
