@@ -8,6 +8,7 @@ only, grid and residual exports), ``simulate`` (Monte-Carlo study) and
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -98,6 +99,8 @@ def load_csv(path):
             ) from None
         if any(not 0.0 <= c <= 1.0 for c in values[:m]):
             raise DataFormatError(f"{path}: row {row_no} has a coordinate outside [0, 1]")
+        if not math.isfinite(values[m]):
+            raise DataFormatError(f"{path}: row {row_no} has a non-finite response")
         xs.append(values[:m])
         ys.append(values[m])
     return Dataset(x=np.array(xs), y=np.array(ys))
@@ -364,7 +367,7 @@ def _cmd_simulate(config):
     if config.out:
         _write_csv(config.out, [f.name for f in fields(PowerRow)],
                    zip(*map(astuple, table.rows)))
-    text = json.dumps(table.to_dict(), indent=2)
+    text = json.dumps(table.to_dict(), indent=2, allow_nan=False)
     if config.json_out:
         with open(config.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

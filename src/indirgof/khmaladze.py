@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad_vec
 from scipy.special import log_ndtr, ndtr
 
 from .errors import InsufficientDataError, QuadratureError, SingularMatrixError
@@ -52,6 +51,7 @@ def gamma_quadrature(null, t, tol=1e-9):
     Raises :class:`QuadratureError` when the error estimate exceeds the
     tolerance or the result is not finite.
     """
+    from scipy.integrate import quad_vec  # local: no pipeline path loads scipy.integrate
 
     def integrand(u):
         f = float(null.pdf(u))
@@ -149,8 +149,9 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
     Only the two end matrices are decomposed unless that bound fails;
     then every point is checked and :class:`SingularMatrixError` names
     the first offending one.  Each point costs one closed-form 3x3
-    Cholesky solve.
-    A grid needs at least two points to reach ``t0``.
+    Cholesky solve.  The trapezoid sum repeats the numpy operations of
+    ``scipy.integrate.cumulative_trapezoid`` in order, so it matches it bit
+    for bit without importing it.  A grid needs two points to reach ``t0``.
     """
     grid_size = int(grid_size)
     if grid_size < 2:
@@ -168,9 +169,9 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
     _check_condition(grid, gam)
     h = score_h(null, grid)
     f = np.asarray(null.pdf(grid), dtype=float)
-    solved = _solve_spd(gam, h)
-    values = cumulative_trapezoid(solved * f[:, None], grid, axis=0, initial=0.0)
-    return ScanFunction(grid=grid, values=values)
+    g = _solve_spd(gam, h) * f[:, None]
+    values = np.cumsum(np.diff(grid)[:, None] * (g[1:] + g[:-1]) / 2.0, axis=0)
+    return ScanFunction(grid=grid, values=np.vstack([np.zeros(3), values]))
 
 
 @dataclass(frozen=True)

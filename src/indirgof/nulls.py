@@ -30,7 +30,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -271,6 +270,7 @@ def check_fisher_information(null):
     finite.  Never raises: finiteness is a precondition of the theory,
     not something this package enforces.
     """
+    from scipy.integrate import quad  # local: no pipeline path loads scipy.integrate
 
     def integrand(t):
         f = null.pdf(t)

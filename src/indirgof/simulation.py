@@ -228,7 +228,10 @@ class PowerTable:
     alpha: float
 
     def to_dict(self):
-        return {"alpha": self.alpha, "rows": [asdict(r) for r in self.rows]}
+        """Strict-JSON form: a cell with no successful repetition has rate ``None``."""
+        rows = [{**asdict(r), "rate": None if math.isnan(r.rate) else r.rate}
+                for r in self.rows]
+        return {"alpha": self.alpha, "rows": rows}
 
     def rate_for(self, error, n):
         for r in self.rows:

@@ -133,6 +133,7 @@ def test_criterion_5_level_at_desk_scale(announce, level_table):
     announce(5, ok,
              f"Gaussian errors, uniform design, n=100, 200 reps: rejection "
              f"rate {row.rate:.3f} in [0.009, 0.081], failures {row.failures}")
+    assert row.rejections == 7, "the seeded count moved: a decision changed"
 
 
 def test_criterion_6_power_at_desk_scale(announce, power_table_300):
@@ -141,6 +142,7 @@ def test_criterion_6_power_at_desk_scale(announce, power_table_300):
     announce(6, ok,
              f"Laplace errors, n=300, 200 reps: rejection rate "
              f"{row.rate:.3f} (>= 0.75), failures {row.failures}")
+    assert row.rejections == 152, "the seeded count moved: a decision changed"
 
 
 def test_criterion_7_power_ordering(announce, power_table_500):
@@ -150,6 +152,8 @@ def test_criterion_7_power_ordering(announce, power_table_500):
     announce(7, ok,
              f"n=500: rejection(Laplace)={laplace:.3f} > "
              f"rejection(Student t)={student:.3f}")
+    counts = [row.rejections for row in power_table_500.rows]
+    assert counts == [195, 164], "the seeded counts moved: a decision changed"
 
 
 def test_criterion_8_null_model_moments(announce):

@@ -79,6 +79,13 @@ class TestCsvIo:
         with pytest.raises(DataFormatError, match="row 3.*oops"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_response_names_row(self, tmp_path, cell):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"x1,y\n0.5,1.0\n0.2,{cell}\n")
+        with pytest.raises(DataFormatError, match="row 3 has a non-finite response"):
+            load_csv(path)
+
     def test_header_must_match(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("a,b\n0.1,0.2\n")
@@ -367,6 +374,19 @@ class TestSimulateCommand:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["rows"][0]["n"] == 40
+
+    def test_all_failed_cell_writes_strict_json(self, tmp_path, capsys):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        out = tmp_path / "t.json"
+        argv = ["simulate", "--scenarios", "normal", "--n", "30", "--reps", "3",
+                "--cv-grid", "2500"]
+        assert main(argv + ["--json-out", str(out)]) == 0
+        assert main(argv) == 0
+        for text in (out.read_text(), capsys.readouterr().out):
+            row = json.loads(text, parse_constant=refuse)["rows"][0]
+            assert row["failures"] == 3 and row["rate"] is None
 
     def test_laplace_errors_still_simulated(self):
         rc = main(["simulate", "--scenarios", "laplace", "--reps", "2",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import cumulative_trapezoid
 
 from indirgof.bandwidth import cv_select, default_radius_grid
 from indirgof.errors import InsufficientDataError, SingularMatrixError
@@ -186,6 +187,16 @@ class TestBuildScan:
         assert np.array_equal(scan.grid, expected.grid)
         assert np.array_equal(scan.values, expected.values)
 
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    @pytest.mark.parametrize("grid_size", [2, 3, 512, 4096])
+    def test_trapezoid_matches_scipy_bit_for_bit(self, null_factory, grid_size):
+        null = null_factory()
+        scan = build_scan(null, 2.5, grid_size)
+        g = (_solve_spd(null.tail_matrix(scan.grid), score_h(null, scan.grid))
+             * null.pdf(scan.grid)[:, None])
+        expected = cumulative_trapezoid(g, scan.grid, axis=0, initial=0.0)
+        assert np.array_equal(scan.values, expected)
 
     def test_infinite_t0_rejected(self):
         with pytest.raises(ValueError):
