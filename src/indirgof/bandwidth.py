@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .estimation import DEFAULT_DENSITY_FLOOR
+from .estimation import DEFAULT_DENSITY_FLOOR, response_exponent
 from .spectral import enumerate_lattice
 
 _BLOCK_ROWS = 32
@@ -36,8 +36,9 @@ class CvReport:
     chosen: float
 
     def as_dict(self):
+        """Strict-JSON form: a score beyond double range is ``None``."""
         return {
-            "candidates": [[r, s] for r, s in self.candidates],
+            "candidates": [[r, s if np.isfinite(s) else None] for r, s in self.candidates],
             "chosen": self.chosen,
         }
 
@@ -57,9 +58,11 @@ def _prefix_scores(data, z, prefixes, floor):
 
     ``z`` is a real basis at the data with its cos/sin pairs ordered so that
     every lattice is a column prefix; ``prefixes`` are distinct ascending
-    column counts.
+    column counts.  Returns the scores of y scaled by 2**-e, e from
+    :func:`response_exponent`, and those of y, which are inf beyond double range.
     """
-    n, y, lo = data.n, data.y, floor * (data.n - 1)
+    e = response_exponent(data.y)
+    n, y, lo = data.n, np.ldexp(data.y, -e), floor * (data.n - 1)
     shells = list(zip([0, *prefixes], prefixes))
     total = z.sum(axis=0)
     row_sums = n + np.cumsum([z[:, a:b] @ total[a:b] for a, b in shells], axis=0)
@@ -77,23 +80,26 @@ def _prefix_scores(data, z, prefixes, floor):
             colsum[r] += y[rows] @ np.divide(w, tmp, out=tmp)
     sizes = np.array(prefixes, dtype=float)[:, None] + 1.0
     pred = colsum - y * sizes / np.maximum(row_sums - sizes, lo)
-    return np.mean((y - pred) ** 2, axis=1)
+    scaled = np.mean((y - pred) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        return scaled, np.ldexp(scaled, 2 * e)
 
 
 def loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """Mean squared leave-one-out prediction error for one lattice."""
     z = lattice.basis(data.x)
-    return float(_prefix_scores(data, z, [z.shape[1]], floor)[0])
+    return float(_prefix_scores(data, z, [z.shape[1]], floor)[1][0])
 
 
-def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
+def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
     """Choose the cutoff radius minimizing the leave-one-out score.
 
     Parameters
     ----------
     data : Dataset
-    radii : sequence of positive reals
+    radii : sequence of positive reals, optional
         Candidate cutoff radii; each must pass the lattice size cap.
+        Defaults to :func:`default_radius_grid`.
     floor : float
         Density clamp forwarded to the leave-one-out fits.
 
@@ -101,7 +107,8 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
     -------
     CvReport
         All (radius, score) pairs in the given order and the argmin; ties
-        break toward the smaller radius.
+        break toward the smaller radius.  Scores are compared on the scaled
+        responses, so the choice stands where a score in y's units is inf.
     """
     if not floor > 0:
         raise ValueError(f"density floor must be positive, got {floor}")
@@ -109,6 +116,8 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
         raise InsufficientDataError(
             f"cross-validation needs at least 3 observations, got {data.n}"
         )
+    if radii is None:
+        radii = default_radius_grid(data.n, data.m)
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("candidate radius grid is empty")
@@ -121,7 +130,7 @@ def cv_select(data, radii, floor=DEFAULT_DENSITY_FLOOR):
     counts = np.searchsorted(norms[order], np.square(radii), side="right")
     prefixes, which = np.unique(2 * counts, return_inverse=True)
     z = lattice.basis(data.x).reshape(data.n, -1, 2)[:, order].reshape(data.n, -1)
-    scores = _prefix_scores(data, z, prefixes.tolist(), floor)
-    scored = [(r, float(scores[k])) for r, k in zip(radii, which)]
-    chosen = min(scored, key=lambda rs: (rs[1], rs[0]))[0]
-    return CvReport(candidates=tuple(scored), chosen=chosen)
+    scaled, scores = _prefix_scores(data, z, prefixes.tolist(), floor)
+    scored = tuple((r, float(scores[k])) for r, k in zip(radii, which))
+    chosen = min(zip(radii, which), key=lambda rk: (scaled[rk[1]], rk[0]))[0]
+    return CvReport(candidates=scored, chosen=chosen)

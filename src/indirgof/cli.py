@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .bandwidth import cv_select, default_radius_grid
+from .bandwidth import cv_select
 from .errors import DataFormatError, IndirgofError, InsufficientDataError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from .khmaladze import decide
@@ -66,6 +66,16 @@ def _write_csv(path, header, columns):
     cells = [map(str, np.asarray(col).tolist()) for col in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
+def _write_json(payload, path=None):
+    """Write ``payload`` as strict, indented JSON to ``path``, or to stdout."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def load_csv(path):
@@ -216,6 +226,7 @@ def _str_list(text):
 
 _ALL = ("test", "estimate", "simulate", "image")
 _READS_INPUT = ("test", "estimate", "image")
+_DECIDES = ("test", "simulate", "image")
 _RUNS_TEST = ("test", "image")
 
 
@@ -243,15 +254,15 @@ class RunConfig:
 
     command: str
     input: str = _option("input", _READS_INPUT, nargs="?")
-    null_name: str = _option("--null", _ALL, "gaussian", help="null model name")
-    alpha: float = _option("--alpha", _ALL, 0.05, type=float)
+    null_name: str = _option("--null", _RUNS_TEST, "gaussian", help="null model name")
+    alpha: float = _option("--alpha", _DECIDES, 0.05, type=float)
     cv_grid: list = _option("--cv-grid", _ALL, type=_float_list,
                             help="comma-separated candidate cutoff radii")
     radius: float = _option("--radius", ("estimate",), type=float,
                             help="fixed cutoff radius (skips CV)")
     floor: float = _option("--floor", _ALL, DEFAULT_DENSITY_FLOOR, type=float,
                            help="density lower clamp")
-    seed: int = _option("--seed", _ALL, 0, type=int)
+    seed: int = _option("--seed", _DECIDES, 0, type=int)
     out: str = _option("--out", _ALL, output=True)
     trace_out: str = _option("--trace-out", _RUNS_TEST, output=True)
     qq_out: str = _option("--qq-out", _RUNS_TEST, output=True)
@@ -280,39 +291,22 @@ class RunConfig:
 
 
 def _select_and_fit(data, config):
+    """The CV record (``None`` for a fixed radius) and the fit at the chosen radius."""
     if config.radius is not None:
-        cv_report = None
-        radius = float(config.radius)
+        cv, radius = None, float(config.radius)
     else:
-        radii = config.cv_grid
-        if radii is None:
-            radii = default_radius_grid(data.n, data.m)
-        cv_report = cv_select(data, radii, config.floor)
-        radius = cv_report.chosen
-    lattice = enumerate_lattice(data.m, radius)
-    return cv_report, fit(data, lattice, config.floor)
-
-
-def _write_report(config, report, cv_report, caveats=()):
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "command": config.command}
-    payload.update(report.to_dict())
-    payload["seed"] = config.seed
-    payload["cv"] = cv_report.as_dict() if cv_report is not None else None
-    payload["caveats"] = list(caveats)
-    text = json.dumps(payload, indent=2, allow_nan=False)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return payload
+        cv_report = cv_select(data, config.cv_grid, config.floor)
+        cv, radius = cv_report.as_dict(), cv_report.chosen
+    return cv, fit(data, enumerate_lattice(data.m, radius), config.floor)
 
 
 def _run_test_on(data, config, caveats=()):
     null = get_null(config.null_name)
-    cv_report, fitted = _select_and_fit(data, config)
+    cv, fitted = _select_and_fit(data, config)
     report = decide(fitted, null, config.alpha)
-    _write_report(config, report, cv_report, caveats)
+    _write_json({"schema_version": REPORT_SCHEMA_VERSION, "command": config.command,
+                 **report.to_dict(), "seed": config.seed, "cv": cv,
+                 "caveats": list(caveats)}, config.out)
     if config.trace_out:
         trace = report.trace
         _write_csv(config.trace_out, ["t", "xi"], [trace.eval_points, trace.values])
@@ -331,7 +325,7 @@ def _cmd_test(config):
 
 def _cmd_estimate(config):
     data = load_csv(config.input)
-    cv_report, fitted = _select_and_fit(data, config)
+    cv, fitted = _select_and_fit(data, config)
     axes = [np.linspace(0.0, 1.0, config.grid_points)] * data.m
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, data.m)
     values = fitted.predict(mesh)
@@ -344,17 +338,9 @@ def _cmd_estimate(config):
                     fitted.residuals, fitted.z])
     if config.data_out:
         write_dataset_csv(data, config.data_out)
-    summary = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": "estimate",
-        "n": data.n,
-        "m": data.m,
-        "sigma_hat": fitted.sigma_hat,
-        "chosen_radius": fitted.lattice.radius,
-        "cv": cv_report.as_dict() if cv_report is not None else None,
-        "grid_out": out,
-    }
-    print(json.dumps(summary, indent=2))
+    _write_json({"schema_version": REPORT_SCHEMA_VERSION, "command": "estimate",
+                 "n": data.n, "m": data.m, "sigma_hat": fitted.sigma_hat,
+                 "chosen_radius": fitted.lattice.radius, "cv": cv, "grid_out": out})
     return 0
 
 
@@ -367,12 +353,8 @@ def _cmd_simulate(config):
     if config.out:
         _write_csv(config.out, [f.name for f in fields(PowerRow)],
                    zip(*map(astuple, table.rows)))
-    text = json.dumps(table.to_dict(), indent=2, allow_nan=False)
-    if config.json_out:
-        with open(config.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if not config.out and not config.json_out:
-        print(text)
+    if config.json_out or not config.out:
+        _write_json(table.to_dict(), config.json_out)
     return 0
 
 
@@ -416,9 +398,7 @@ def _fail(exc, error_json):
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     if error_json:
         try:
-            with open(error_json, "w", encoding="utf-8") as fh:
-                json.dump({"error": type(exc).__name__, "message": str(exc)}, fh)
-                fh.write("\n")
+            _write_json({"error": type(exc).__name__, "message": str(exc)}, error_json)
         except OSError as write_exc:
             print(f"error: cannot write the error record: {write_exc}", file=sys.stderr)
     return 1

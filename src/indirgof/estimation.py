@@ -165,37 +165,45 @@ class RegressionFit:
         return counts / self.n
 
 
+def response_exponent(y):
+    """Binary exponent e of max|y| (0 when y is all zero).
+
+    ``ldexp(y, -e)`` peaks in [0.5, 1).  Scaling by a power of two commutes
+    exactly with sums, products, quotients and the root of a mean square, so
+    working on it and scaling back gives the unscaled results bit for bit
+    wherever those are in double range.
+    """
+    return int(np.frexp(np.max(np.abs(y)))[1])
+
+
 def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """Fit the Fourier-series regression and standardize its residuals.
 
     Fitted values at the data points come from the coefficient series,
-    O(nN) for N lattice indices.  Raises :class:`DegenerateFitError` when
-    the residual scale vanishes relative to the response size, since the
-    error-distribution test is undefined for an interpolating fit, or when
-    it is not finite because the squared residuals overflow.
+    O(nN) for N lattice indices, computed on the responses scaled by
+    :func:`response_exponent`.  Raises :class:`DegenerateFitError` when the
+    residual scale vanishes relative to max|y|, since the error-distribution
+    test is undefined for an interpolating fit.
     """
+    e = response_exponent(data.y)
+    y = np.ldexp(data.y, -e)
     basis = lattice.basis(data.x)
     density = DensityEstimate(lattice, basis.mean(axis=0), float(floor))
-    coeffs = _series_coeffs(basis, data.y / density._at(basis))
-    residuals = data.y - (coeffs[0] + basis @ coeffs[1:])
-    sigma_hat = float(np.sqrt(np.mean(residuals**2)))
-    if not np.isfinite(sigma_hat):
+    coeffs = _series_coeffs(basis, y / density._at(basis))
+    residuals = y - (coeffs[0] + basis @ coeffs[1:])
+    sigma = float(np.sqrt(np.mean(residuals**2)))
+    if sigma <= 1e-13 * np.max(np.abs(y)):
         raise DegenerateFitError(
-            f"residual scale {sigma_hat} is not finite; the squared residuals "
-            "overflow double precision, so rescale the responses"
-        )
-    if sigma_hat <= 1e-13 * (1.0 + float(np.mean(np.abs(data.y)))):
-        raise DegenerateFitError(
-            f"residual scale {sigma_hat:.3e} is numerically zero; "
+            f"residual scale {np.ldexp(sigma, e):.3e} is numerically zero; "
             "the fit interpolates the data and the test is undefined"
         )
-    z = residuals / sigma_hat
+    z = residuals / sigma
     return RegressionFit(
         lattice=lattice,
-        coeffs=coeffs,
+        coeffs=np.ldexp(coeffs, e),
         density=density,
-        residuals=residuals,
-        sigma_hat=sigma_hat,
+        residuals=np.ldexp(residuals, e),
+        sigma_hat=float(np.ldexp(sigma, e)),
         z=z,
         z_sorted=np.sort(z),
     )

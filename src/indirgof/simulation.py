@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bandwidth import cv_select, default_radius_grid
+from .bandwidth import cv_select
 from .errors import IndirgofError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from .khmaladze import decide
@@ -249,8 +249,7 @@ def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
     """
     rng = np.random.default_rng(list(seed_key))
     data = generate(model, n, rng)
-    radii = cv_radii if cv_radii is not None else default_radius_grid(n, data.m)
-    report = cv_select(data, radii, floor)
+    report = cv_select(data, cv_radii, floor)
     lattice = enumerate_lattice(data.m, report.chosen)
     fitted = fit(data, lattice, floor)
     outcome = decide(fitted, gaussian_null(), alpha)

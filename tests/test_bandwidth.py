@@ -47,6 +47,30 @@ def test_empty_grid_rejected():
         cv_select(_uniform_data(rng, 20), [])
 
 
+def test_default_grid_belongs_to_cv_select():
+    data = generate(paper_model("normal", "uniform"), 120, np.random.default_rng(32))
+    assert cv_select(data) == cv_select(data, default_radius_grid(data.n, data.m))
+
+
+def test_scores_scale_exactly_with_a_power_of_two():
+    # scores are quadratic in y and computed on y / 2**e, so y * 2**k gives
+    # the scores times 4**k to the bit, and a score past double range is inf
+    # with the choice intact and None in the JSON form
+    rng = np.random.default_rng(33)
+    data = _uniform_data(rng, 60, m=2)
+    base = cv_select(data, [1.0, 2.0, 3.0])
+    for k in (-500, -40, 7, 40):
+        scaled = cv_select(Dataset(x=data.x, y=np.ldexp(data.y, k)), [1.0, 2.0, 3.0])
+        assert scaled.chosen == base.chosen
+        assert scaled.candidates == tuple((r, s * 4.0**k) for r, s in base.candidates)
+    huge = cv_select(Dataset(x=data.x, y=np.ldexp(data.y, 600)), [1.0, 2.0, 3.0])
+    assert huge.chosen == base.chosen
+    assert all(s == np.inf for _, s in huge.candidates)
+    assert all(s is None for _, s in huge.as_dict()["candidates"])
+    lat = enumerate_lattice(2, 2.0)
+    assert loo_score(Dataset(x=data.x, y=np.ldexp(data.y, 600)), lat) == np.inf
+
+
 def test_scores_nonnegative():
     rng = np.random.default_rng(24)
     report = cv_select(_uniform_data(rng, 50), [1.0, 2.0, 3.0])

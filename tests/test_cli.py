@@ -444,22 +444,65 @@ def test_test_command_prints_nothing(tmp_path, capfd, null):
     assert capfd.readouterr() == ("", "")
 
 
-def test_overflowing_responses_fail_with_named_cause(tmp_path, capsys):
-    # y * 1e155 overflows the squared residuals: the run once exited 0 with
-    # "sigma_hat": Infinity and a wrong, rejecting statistic
+def _paper_csv(path, scale=1.0):
+    """The seed-0 n = 300 paper dataset with its responses times ``scale``."""
     data = generate(paper_model("normal", "uniform"), 300, np.random.default_rng(0))
-    src = tmp_path / "d.csv"
-    write_dataset_csv(Dataset(x=data.x, y=data.y * 1e155), src)
-    out, err = tmp_path / "r.json", tmp_path / "err.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the CV scores overflow first
-        rc = main(["test", str(src), "--out", str(out), "--error-json", str(err)])
-    assert rc == 1
-    stdout, stderr = capsys.readouterr()
-    assert "DegenerateFitError" in stderr and "not finite" in stderr
-    assert not out.exists()
-    assert "Infinity" not in stdout + stderr + err.read_text()
-    assert json.loads(err.read_text())["error"] == "DegenerateFitError"
+    write_dataset_csv(Dataset(x=data.x, y=data.y * scale), path)
+    return path
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e153, 1e155, 1e300])
+def test_extreme_responses_keep_the_statistic(tmp_path, capsys, scale):
+    # the test is scale-free in y; at 1e-14 the run once refused the fit as
+    # numerically zero, at 1e153 it crashed writing an inf CV score, and at
+    # 1e155 it refused the squared residuals as overflowing
+    src = _paper_csv(tmp_path / "d.csv", scale)
+    out = tmp_path / "r.json"
+    assert main(["test", str(src), "--out", str(out)]) == 0
+    report = _strict_json(out.read_text())
+    assert report["chosen_radius"] == 2.0
+    assert report["statistic"] == pytest.approx(2.343133948772471, rel=1e-12)
+    assert main(["estimate", str(src), "--out", str(tmp_path / "g.csv")]) == 0
+    summary = _strict_json(capsys.readouterr().out)
+    assert summary["chosen_radius"] == 2.0
+    assert summary["sigma_hat"] == pytest.approx(report["sigma_hat"], rel=0.0)
+
+
+_JSON_RUNS = {
+    "test": (["test", "{csv}", "--out", "{out}"], 0, "out"),
+    "image": (["image", "{img}", "--size", "16", "--out", "{out}"], 0, "out"),
+    "estimate": (["estimate", "{csv}", "--out", "{dir}/g.csv"], 0, "stdout"),
+    "simulate": (["simulate", "--n", "2,30", "--reps", "2", "--cv-grid", "1,2",
+                  "--json-out", "{out}"], 0, "out"),
+    "simulate-stdout": (["simulate", "--n", "2", "--reps", "2"], 0, "stdout"),
+    "failure": (["test", "{csv}", "--cv-grid", "2500", "--error-json", "{out}"], 1, "out"),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e153, 1e155])
+@pytest.mark.parametrize("run_name", list(_JSON_RUNS))
+def test_every_json_record_is_strict(tmp_path, capsys, run_name, scale):
+    # every record goes through one writer that refuses NaN and Infinity;
+    # the n = 2 simulate cell fails in every repetition, so its rate is null
+    argv, status, where = _JSON_RUNS[run_name]
+    csv, out = _paper_csv(tmp_path / "d.csv", scale), tmp_path / "r.json"
+    image = poisson_count_image(paper_model("normal", "uniform"), 16,
+                                np.random.default_rng(3), scale=40.0)
+    np.savetxt(tmp_path / "img.csv", image * scale, delimiter=",")
+    argv = [a.format(csv=csv, out=out, img=tmp_path / "img.csv", dir=tmp_path)
+            for a in argv]
+    assert main(argv) == status
+    record = _strict_json(out.read_text() if where == "out" else capsys.readouterr().out)
+    if run_name.startswith("simulate"):
+        assert record["rows"][0]["failures"] == 2 and record["rows"][0]["rate"] is None
+    if run_name == "failure":
+        assert record["error"] == "LatticeCapError"
 
 
 def test_scan_grid_is_not_an_option(tmp_path, capsys):
@@ -469,6 +512,28 @@ def test_scan_grid_is_not_an_option(tmp_path, capsys):
     assert "unknown config key 'scan_grid'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["simulate", "--scan-grid", "4096"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "d.csv", "--alpha", "0.1"],
+    ["estimate", "d.csv", "--seed", "3"],
+    ["simulate", "--null", "student-t"],
+])
+def test_flag_a_command_does_not_read_is_refused(capsys, argv):
+    # simulate always tests the Gaussian null and estimate decides nothing,
+    # so these flags would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "estimate", "simulate", "image"])
+def test_config_file_keys_load_for_every_command(tmp_path, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("null = student-t\nalpha = 0.1\nseed = 7\n")
+    config = build_config(_build_parser().parse_args([command, "--config", str(cfg)]))
+    assert (config.null_name, config.alpha, config.seed) == ("student-t", 0.1, 7)
 
 
 @pytest.mark.parametrize("command", ["test", "estimate"])

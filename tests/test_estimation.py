@@ -11,6 +11,8 @@ from indirgof.estimation import (
     estimate_density,
     fit,
 )
+from indirgof.khmaladze import decide
+from indirgof.nulls import gaussian_null
 from indirgof.simulation import (
     THETA_COEFFS,
     LaplaceProductPsi,
@@ -132,13 +134,27 @@ class TestFit:
         with pytest.raises(DegenerateFitError):
             fit(data, enumerate_lattice(1, 1))
 
-    def test_overflowing_scale_is_degenerate(self):
-        # squaring residuals near 1e160 overflows, so the scale would be inf
-        rng = np.random.default_rng(16)
-        data = Dataset(x=rng.random((40, 1)), y=rng.normal(0.0, 1e160, 40))
-        with np.errstate(over="ignore"), pytest.raises(DegenerateFitError,
-                                                       match="not finite"):
-            fit(data, enumerate_lattice(1, 1))
+    @pytest.mark.parametrize("data", [
+        Dataset(x=np.random.default_rng(16).random((40, 2)), y=np.zeros(40)),
+        generate(paper_model("zero", "uniform"), 1, np.random.default_rng(16)),
+    ], ids=["zero-responses", "noiseless-single-draw"])
+    def test_interpolating_fit_is_degenerate(self, data):
+        with pytest.raises(DegenerateFitError, match="numerically zero"):
+            fit(data, enumerate_lattice(2, 2))
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e155, 1e300])
+    def test_extreme_scale_keeps_the_statistic(self, scale):
+        # the responses once counted as zero (1e-14) or overflowed when
+        # squared (1e155); the test is scale-free, so the answer must not move
+        data = generate(paper_model("normal", "uniform"), 300, np.random.default_rng(0))
+        scaled = Dataset(x=data.x, y=data.y * scale)
+        cv = cv_select(scaled)
+        assert cv.chosen == 2.0
+        f = fit(scaled, enumerate_lattice(2, cv.chosen))
+        assert f.sigma_hat == pytest.approx(fit(data, f.lattice).sigma_hat * scale,
+                                            rel=1e-12)
+        stat = decide(f, gaussian_null(), 0.05).statistic
+        assert stat == pytest.approx(2.343133948772471, rel=1e-12)
 
     def test_scale_and_standardization(self):
         rng = np.random.default_rng(15)
