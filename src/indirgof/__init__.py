@@ -21,7 +21,6 @@ from .estimation import (
 )
 from .khmaladze import (
     ProcessTrace,
-    ScanFunction,
     TestReport,
     brownian_sup_log10_tail,
     brownian_sup_quantile,
@@ -34,17 +33,15 @@ from .khmaladze import (
     transform_standardized,
 )
 from .nulls import (
-    ErrorSampler,
     NullModel,
-    alternative_samplers,
     gamma_closed_form_gaussian,
     gaussian_null,
     get_null,
-    get_sampler,
     score_h,
     student_t_null,
 )
 from .simulation import (
+    ERROR_LAWS,
     PowerTable,
     SyntheticModel,
     generate,

@@ -74,26 +74,6 @@ def gamma_quadrature(null, t, tol=1e-9):
 # Scan function and transformed process
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanFunction:
-    """Accumulated compensator integrand G0 on a grid, linearly interpolated.
-
-    ``values[0]`` is the zero vector; queries left of the grid clamp to
-    zero and queries are never expected right of the grid (the transform
-    only evaluates at t <= t0 = grid[-1]).
-    """
-
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.stack(
-            [np.interp(t, self.grid, self.values[:, c]) for c in range(3)],
-            axis=-1,
-        )
-
-
 def _solve_spd(gam, b):
     """Solve ``gam x = b`` for a stack of SPD 3x3 matrices by closed-form Cholesky.
 
@@ -136,11 +116,12 @@ def _check_condition(grid, gam):
         )
 
 
-def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
-    """Accumulate G0 by the trapezoid rule on a uniform grid up to ``t0``.
+def build_scan(null, t0):
+    """G0 by the trapezoid rule on ``DEFAULT_SCAN_GRID`` points up to ``t0``.
 
-    The grid starts at the 1e-6 quantile of the null law, below which the
-    neglected mass contributes nothing at the tolerances of interest.
+    Returns the uniform ``grid`` and ``g0``, one row per point and zero at
+    the first.  The grid starts at the 1e-6 quantile of the null law, below
+    which the neglected mass contributes nothing at the tolerances of interest.
     Gamma must have condition number at most ``GAMMA_CONDITION_LIMIT``
     (1e12) on the whole grid; it degenerates only as t -> +inf, which the
     choice of t0 excludes.  As a tail integral of the PSD h h^T f, Gamma
@@ -151,11 +132,8 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
     the first offending one.  Each point costs one closed-form 3x3
     Cholesky solve.  The trapezoid sum repeats the numpy operations of
     ``scipy.integrate.cumulative_trapezoid`` in order, so it matches it bit
-    for bit without importing it.  A grid needs two points to reach ``t0``.
+    for bit without importing it.
     """
-    grid_size = int(grid_size)
-    if grid_size < 2:
-        raise ValueError(f"scan grid needs at least 2 points, got {grid_size}")
     t0 = float(t0)
     if not np.isfinite(t0):
         raise ValueError("scan endpoint t0 must be finite")
@@ -164,14 +142,14 @@ def build_scan(null, t0, grid_size=DEFAULT_SCAN_GRID):
         raise ValueError(
             f"scan endpoint {t0} must exceed the lower integration point {t_lo}"
         )
-    grid = np.linspace(t_lo, t0, grid_size)
+    grid = np.linspace(t_lo, t0, DEFAULT_SCAN_GRID)
     gam = null.tail_matrix(grid)
     _check_condition(grid, gam)
     h = score_h(null, grid)
     f = np.asarray(null.pdf(grid), dtype=float)
     g = _solve_spd(gam, h) * f[:, None]
     values = np.cumsum(np.diff(grid)[:, None] * (g[1:] + g[:-1]) / 2.0, axis=0)
-    return ScanFunction(grid=grid, values=np.vstack([np.zeros(3), values]))
+    return grid, np.vstack([np.zeros(3), values])
 
 
 @dataclass(frozen=True)
@@ -210,32 +188,34 @@ def transform_standardized(z, null):
             f"the transform needs at least 10 residuals, got {n}"
         )
     t0 = float(z[int(np.ceil(0.99 * n)) - 1])
-    scan = build_scan(null, t0)
+    grid, g0 = build_scan(null, t0)
 
     h = score_h(null, z)                                    # (n, 3)
-    g_at_z = scan(np.minimum(z, t0))
+    z_lo = np.minimum(z, t0)
+    g_at_z = np.stack([np.interp(z_lo, grid, g0[:, c]) for c in range(3)], axis=-1)
     pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at_z, h))])
     pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
     total_h = pref_h[-1]
     root_n = math.sqrt(n)
 
-    def evaluate(ts, g0, side):
+    def evaluate(ts, g_at_ts, side):
         idx = np.searchsorted(z, ts, side=side)
         suffix = total_h[None, :] - pref_h[idx]
-        comp = (pref_dot[idx] + np.einsum("ij,ij->i", g0, suffix)) / n
+        comp = (pref_dot[idx] + np.einsum("ij,ij->i", g_at_ts, suffix)) / n
         return root_n * (idx / n - comp)
 
     jumps = np.unique(z[z <= t0])
-    pts = np.concatenate([scan.grid, jumps, jumps])
-    g_jumps = scan(jumps)
+    pts = np.concatenate([grid, jumps, jumps])
+    # Each jump is a residual at or below t0, so G0 there is already known.
+    g_jumps = g_at_z[np.searchsorted(z, jumps)]
     vals = np.concatenate([
-        evaluate(scan.grid, scan.values, "right"),
+        evaluate(grid, g0, "right"),
         evaluate(jumps, g_jumps, "left"),
         evaluate(jumps, g_jumps, "right"),
     ])
     # Stable order: ascending t, left limits before values at the point.
     is_left = np.concatenate([
-        np.zeros(len(scan.grid)), np.zeros(len(jumps)) - 1.0, np.zeros(len(jumps)),
+        np.zeros(len(grid)), np.zeros(len(jumps)) - 1.0, np.zeros(len(jumps)),
     ])
     order = np.lexsort((is_left, pts))
     return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0, n=n)

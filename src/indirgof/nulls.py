@@ -1,4 +1,4 @@
-"""Standardized null error laws and alternative error samplers.
+"""Standardized null error laws of the martingale transform and their scores.
 
 A :class:`NullModel` bundles the cdf, pdf, location score and quantile of
 a candidate standardized error distribution (mean zero, variance one by
@@ -19,8 +19,8 @@ have smooth scores, so the tail information matrix of the transform stays
 invertible at every finite point, and both give that matrix in closed
 form.  A law whose location score is piecewise
 constant, such as the Laplace, makes that matrix singular beyond its kink
-and is not offered as a null; the Laplace remains an error sampler of the
-simulation study.
+and is not offered as a null; the Laplace remains an error law of the
+simulation study (see :data:`indirgof.simulation.ERROR_LAWS`).
 """
 
 import math
@@ -207,59 +207,6 @@ def score_h(null, t):
     t = np.asarray(t, dtype=float)
     psi = np.asarray(null.location_score(t), dtype=float)
     return np.stack([np.ones_like(t), psi, t * psi - 1.0], axis=-1)
-
-
-@dataclass(frozen=True)
-class ErrorSampler:
-    """Seeded sampler for one error law of the simulation study."""
-
-    name: str
-    kind: str
-    params: tuple = ()
-
-    def sample(self, rng, size):
-        if self.kind == "normal":
-            return self.params[0] * rng.standard_normal(size)
-        if self.kind == "laplace":
-            return rng.laplace(0.0, self.params[0], size)
-        if self.kind == "skew-normal":
-            alpha, omega = self.params
-            delta = alpha / math.sqrt(1.0 + alpha * alpha)
-            u = np.abs(rng.standard_normal(size))
-            v = rng.standard_normal(size)
-            draw = omega * (delta * u + math.sqrt(1.0 - delta * delta) * v)
-            return draw - omega * delta * math.sqrt(2.0 / math.pi)
-        if self.kind == "student-t":
-            return rng.standard_t(self.params[0], size)
-        if self.kind == "zero":
-            return np.zeros(size)
-        raise ValueError(f"unknown sampler kind {self.kind!r}")
-
-
-def alternative_samplers():
-    """The four error scenarios of the simulation study, keyed by name.
-
-    The skew-normal uses the stochastic representation
-    ``omega * (delta*|U| + sqrt(1-delta^2)*V)`` centred at its analytic
-    mean, with delta = alpha/sqrt(1+alpha^2).
-    """
-    return {
-        "normal": ErrorSampler("normal", "normal", (0.5,)),
-        "laplace": ErrorSampler("laplace", "laplace", (0.5,)),
-        "skew-normal": ErrorSampler("skew-normal", "skew-normal", (3.0, 1.0)),
-        "student-t": ErrorSampler("student-t", "student-t", (6.0,)),
-    }
-
-
-def get_sampler(name):
-    """Look up a built-in error sampler by name."""
-    samplers = alternative_samplers()
-    samplers["zero"] = ErrorSampler("zero", "zero")
-    try:
-        return samplers[name]
-    except KeyError:
-        options = ", ".join(sorted(samplers))
-        raise ValueError(f"unknown error law {name!r}; options: {options}") from None
 
 
 def check_fisher_information(null):

@@ -7,7 +7,7 @@ Fourier product of distortion and regression coefficients over the
 13-point support of the regression, so no quadrature sits in the hot
 path.  Covariates are either uniform on the unit square or drawn
 componentwise from the non-trivial cosine density via inverse-cdf
-sampling.
+sampling; errors come from the named laws of :data:`ERROR_LAWS`.
 """
 
 import math
@@ -20,7 +20,7 @@ from .bandwidth import cv_select
 from .errors import IndirgofError
 from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from .khmaladze import decide
-from .nulls import ErrorSampler, gaussian_null, get_sampler
+from .nulls import gaussian_null
 from .spectral import enumerate_lattice
 
 SQRT2 = math.sqrt(2.0)
@@ -67,6 +67,39 @@ def sample_g1(rng, n):
         outside = (x <= lo) | (x >= hi)
         x = np.where(outside, 0.5 * (lo + hi), x)
     return x
+
+
+# ---------------------------------------------------------------------------
+# Error laws
+# ---------------------------------------------------------------------------
+
+def _normal(rng, n):
+    return 0.5 * rng.standard_normal(n)                   # sd 1/2
+
+
+def _laplace(rng, n):
+    return rng.laplace(0.0, 0.5, n)                       # sd sqrt(2)/2
+
+
+def _skew_normal(rng, n):
+    """Skew-normal (shape 3, scale 1) as delta*|U| + sqrt(1-delta^2)*V, centred."""
+    delta = 3.0 / math.sqrt(10.0)                         # alpha / sqrt(1 + alpha^2)
+    u = np.abs(rng.standard_normal(n))
+    v = rng.standard_normal(n)
+    return delta * u + math.sqrt(1.0 - delta * delta) * v - delta * math.sqrt(2.0 / math.pi)
+
+
+def _student_t(rng, n):
+    return rng.standard_t(6.0, n)                         # sd sqrt(6/4)
+
+
+def _zero(rng, n):
+    return np.zeros(n)
+
+
+#: Error laws of the simulation study by name; ``ERROR_LAWS[name](rng, n)`` draws n errors.
+ERROR_LAWS = {"normal": _normal, "laplace": _laplace, "skew-normal": _skew_normal,
+              "student-t": _student_t, "zero": _zero}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +160,7 @@ class SyntheticModel:
     theta_coeffs: dict
     psi_coeffs: object
     covariate_law: str
-    error_sampler: ErrorSampler
+    error: str
 
     def __post_init__(self):
         if self.covariate_law not in COVARIATE_LAWS:
@@ -135,6 +168,9 @@ class SyntheticModel:
                 f"covariate law must be one of {COVARIATE_LAWS}, "
                 f"got {self.covariate_law!r}"
             )
+        if self.error not in ERROR_LAWS:
+            options = ", ".join(sorted(ERROR_LAWS))
+            raise ValueError(f"unknown error law {self.error!r}; options: {options}")
         for k, v in self.theta_coeffs.items():
             neg = tuple(-ki for ki in k)
             if self.theta_coeffs.get(neg) != v:
@@ -165,13 +201,12 @@ def ktheta_true(model, x):
 
 
 def paper_model(error="normal", design="uniform"):
-    """Simulation-study model with the requested error law and design."""
-    sampler = error if isinstance(error, ErrorSampler) else get_sampler(error)
+    """Simulation-study model with the named error law and design."""
     return SyntheticModel(
         theta_coeffs=THETA_COEFFS,
         psi_coeffs=LaplaceProductPsi(),
         covariate_law=design,
-        error_sampler=sampler,
+        error=error,
     )
 
 
@@ -183,8 +218,7 @@ def generate(model, n, rng):
         x = rng.random((n, model.m))
     else:
         x = np.column_stack([sample_g1(rng, n) for _ in range(model.m)])
-    errors = model.error_sampler.sample(rng, n)
-    y = ktheta_true(model, x) + errors
+    y = ktheta_true(model, x) + ERROR_LAWS[model.error](rng, n)
     return Dataset(x=x, y=y)
 
 
@@ -294,6 +328,8 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     cells = [(model, n) for model in scenarios for n in n_list]
+    if not cells:
+        raise ValueError("a study needs at least one scenario and one sample size")
     tasks = [
         (model, n, alpha, (seed, ci, r), cv_radii, floor)
         for ci, (model, n) in enumerate(cells)
@@ -312,7 +348,7 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         fails = sum(error is not None for _, error in outcomes)
         ok = reps - fails
         rows.append(PowerRow(
-            error=model.error_sampler.name,
+            error=model.error,
             design=model.covariate_law,
             n=n,
             reps=reps,

@@ -92,7 +92,7 @@ def enumerate_lattice(m, radius):
     m : int
         Dimension, at least 1.
     radius : float
-        Positive cutoff radius.  At most :data:`LATTICE_CAP` candidate
+        Positive, finite cutoff radius.  At most :data:`LATTICE_CAP` candidate
         indices may be scanned.
 
     Returns
@@ -102,8 +102,8 @@ def enumerate_lattice(m, radius):
     """
     if m < 1:
         raise ValueError(f"dimension must be at least 1, got {m}")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     half = int(np.floor(radius))
     total = (2 * half + 1) ** m
     if total > LATTICE_CAP:

@@ -83,14 +83,18 @@ def xi_oracle(z, null, t_points, sides):
     return np.array(out), t0
 
 
-def xi_production_at(z, null, scan_grid, t_points, sides):
+def xi_production_at(z, null, t_points, sides):
     """Production-path process values at chosen points and sides."""
     from indirgof.khmaladze import build_scan
 
     z = np.sort(np.asarray(z, dtype=float))
     n = len(z)
     t0 = float(z[int(np.ceil(0.99 * n)) - 1])
-    scan = build_scan(null, t0, scan_grid)
+    grid, g0 = build_scan(null, t0)
+
+    def scan(t):
+        return np.stack([np.interp(t, grid, g0[:, c]) for c in range(3)], axis=-1)
+
     h = score_h(null, z)
     g_at = scan(np.minimum(z, t0))
     pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at, h))])

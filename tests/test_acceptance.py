@@ -119,7 +119,7 @@ def test_criterion_4_brute_force_oracle(announce):
         t0 = float(np.sort(z)[int(np.ceil(0.99 * n)) - 1])
         pts, sides = oracle_points_for(z, t0)
         oracle_vals, _ = xi_oracle(z, null, pts, sides)
-        prod_vals, _ = xi_production_at(z, null, 4096, pts, sides)
+        prod_vals, _ = xi_production_at(z, null, pts, sides)
         worst = max(worst, float(np.max(np.abs(prod_vals - oracle_vals))))
     ok = worst < 1e-4
     announce(4, ok,

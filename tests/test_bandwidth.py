@@ -172,7 +172,7 @@ def test_candidates_keep_caller_order():
     assert [r for r, _ in report.candidates] == [3.0, 1.0, 2.5, 2.0]
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_nonpositive_radius_rejected(bad):
     rng = np.random.default_rng(29)
     with pytest.raises(ValueError, match="positive"):

@@ -308,7 +308,7 @@ class TestTestCommand:
 
     def test_laplace_is_not_a_null(self, tmp_path):
         # the Laplace tail information matrix is singular beyond the origin,
-        # so it is offered only as an error sampler, never as a null
+        # so it is offered only as an error law of the study, never as a null
         src = tmp_path / "d.csv"
         rng = np.random.default_rng(412)
         write_dataset_csv(generate(paper_model("laplace", "uniform"), 40, rng), src)
@@ -615,6 +615,14 @@ def test_unwritable_error_record_is_reported(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--config", "{cfg}"], "unknown config key 'bandwidth'"),
     (["test", "{csv}", "--alpha", "2"], "alpha must lie in (0, 1)"),
+    # an infinite radius once escaped as a bare OverflowError traceback
+    (["test", "{csv}", "--cv-grid", "1,inf"], "radius must be positive and finite, got inf"),
+    (["estimate", "{csv}", "--radius", "inf"], "radius must be positive and finite, got inf"),
+    (["simulate", "--n", "30", "--reps", "1", "--cv-grid", "inf"],
+     "radius must be positive and finite, got inf"),
+    # an empty study once exited 0 with no rows
+    (["simulate", "--n", ""], "at least one scenario and one sample size"),
+    (["simulate", "--scenarios", ","], "at least one scenario and one sample size"),
 ])
 def test_configuration_errors_write_error_record(tmp_path, capsys, argv, message):
     cfg, csv, err = tmp_path / "bad.cfg", tmp_path / "d.csv", tmp_path / "e.json"

@@ -40,7 +40,6 @@ from indirgof.simulation import (
     paper_model,
     power_study,
 )
-from indirgof.nulls import ErrorSampler
 from indirgof.spectral import enumerate_lattice
 
 from helpers import (
@@ -130,40 +129,43 @@ def eigvalsh_batches(monkeypatch):
 
 
 class TestBuildScan:
-    def test_zero_at_lower_end(self):
-        scan = build_scan(NULL, 2.0, 512)
-        assert_allclose(scan.values[0], np.zeros(3))
-        assert scan(np.array([scan.grid[0] - 5.0]))[0] == pytest.approx(0.0)
+    def test_zero_at_lower_end(self, monkeypatch):
+        monkeypatch.setattr(khmaladze, "DEFAULT_SCAN_GRID", 512)
+        grid, g0 = build_scan(NULL, 2.0)
+        assert grid.shape == (512,) and g0.shape == (512, 3)
+        assert_allclose(g0[0], np.zeros(3))
 
     def test_derivative_matches_integrand(self):
-        scan = build_scan(NULL, 1.0, 4096)
-        i = int(np.searchsorted(scan.grid, 0.0))
-        lo, hi = scan.grid[i], scan.grid[i + 1]
+        grid, g0 = build_scan(NULL, 1.0)
+        i = int(np.searchsorted(grid, 0.0))
+        lo, hi = grid[i], grid[i + 1]
         mid = 0.5 * (lo + hi)
-        slope = (scan.values[i + 1, 0] - scan.values[i, 0]) / (hi - lo)
+        slope = (g0[i + 1, 0] - g0[i, 0]) / (hi - lo)
         expected = float(
             np.linalg.solve(gamma_closed_form_gaussian(mid), score_h(NULL, mid))[0]
             * NULL.pdf(mid)
         )
         assert slope == pytest.approx(expected, abs=1e-4)
 
-    def test_halving_self_consistency(self):
+    def test_halving_self_consistency(self, monkeypatch):
         # relative per component: the accumulated values are O(100), so a
         # relative criterion is the meaningful Richardson check
-        coarse = build_scan(NULL, 2.4, 4096)
-        fine = build_scan(NULL, 2.4, 8191)  # exactly half the step
-        rel = np.abs(coarse.values[-1] - fine.values[-1]) / np.maximum(
-            1.0, np.abs(fine.values[-1])
-        )
+        assert DEFAULT_SCAN_GRID == 4096
+        coarse = build_scan(NULL, 2.4)[1]
+        monkeypatch.setattr(khmaladze, "DEFAULT_SCAN_GRID", 8191)  # half the step
+        fine = build_scan(NULL, 2.4)[1]
+        rel = np.abs(coarse[-1] - fine[-1]) / np.maximum(1.0, np.abs(fine[-1]))
         assert np.max(rel) < 1e-6
 
     @pytest.mark.parametrize("null_factory, t0, where", [
         (gaussian_null, 12.0, "t=10.9836"), (student_t_null, 300.0, "t=127.639"),
     ], ids=["gaussian", "student-t"])
-    def test_singularity_reported_with_location(self, null_factory, t0, where):
+    def test_singularity_reported_with_location(self, null_factory, t0, where,
+                                                monkeypatch):
         # the first failing grid point, as the full per-point check names it
+        monkeypatch.setattr(khmaladze, "DEFAULT_SCAN_GRID", 512)
         with pytest.raises(SingularMatrixError, match=f"at {where}$"):
-            build_scan(null_factory(), t0, 512)
+            build_scan(null_factory(), t0)
 
     @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
     def test_well_conditioned_scan_decomposes_two_matrices(self, null_factory,
@@ -175,38 +177,32 @@ class TestBuildScan:
     def test_failed_bound_falls_back_to_full_check(self, null_factory, monkeypatch,
                                                    eigvalsh_batches):
         null = null_factory()
-        expected = build_scan(null, 2.5)
-        eigs = np.linalg.eigvalsh(null.tail_matrix(expected.grid))
+        grid, g0 = build_scan(null, 2.5)
+        eigs = np.linalg.eigvalsh(null.tail_matrix(grid))
         worst = float(np.max(eigs[:, -1] / eigs[:, 0]))
         bound = float(eigs[0, -1] / eigs[-1, 0])
         assert worst < bound
         monkeypatch.setattr(khmaladze, "GAMMA_CONDITION_LIMIT", math.sqrt(worst * bound))
         eigvalsh_batches.clear()
-        scan = build_scan(null, 2.5)
-        assert eigvalsh_batches == [(2,), (len(expected.grid),)]
-        assert np.array_equal(scan.grid, expected.grid)
-        assert np.array_equal(scan.values, expected.values)
-
+        again_grid, again_g0 = build_scan(null, 2.5)
+        assert eigvalsh_batches == [(2,), (len(grid),)]
+        assert np.array_equal(again_grid, grid)
+        assert np.array_equal(again_g0, g0)
 
     @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
-    @pytest.mark.parametrize("grid_size", [2, 3, 512, 4096])
-    def test_trapezoid_matches_scipy_bit_for_bit(self, null_factory, grid_size):
+    @pytest.mark.parametrize("points", [2, 3, 512, 4096])
+    def test_trapezoid_matches_scipy_bit_for_bit(self, null_factory, points, monkeypatch):
         null = null_factory()
-        scan = build_scan(null, 2.5, grid_size)
-        g = (_solve_spd(null.tail_matrix(scan.grid), score_h(null, scan.grid))
-             * null.pdf(scan.grid)[:, None])
-        expected = cumulative_trapezoid(g, scan.grid, axis=0, initial=0.0)
-        assert np.array_equal(scan.values, expected)
+        monkeypatch.setattr(khmaladze, "DEFAULT_SCAN_GRID", points)
+        grid, g0 = build_scan(null, 2.5)
+        g = (_solve_spd(null.tail_matrix(grid), score_h(null, grid))
+             * null.pdf(grid)[:, None])
+        expected = cumulative_trapezoid(g, grid, axis=0, initial=0.0)
+        assert np.array_equal(g0, expected)
 
     def test_infinite_t0_rejected(self):
         with pytest.raises(ValueError):
-            build_scan(NULL, math.inf, 512)
-
-    @pytest.mark.parametrize("grid_size", [-5, 0, 1])
-    def test_grid_below_two_points_rejected(self, grid_size):
-        # a one-point grid is [t_lo]: it never reaches t0 and G0 would be 0
-        with pytest.raises(ValueError, match=f"got {grid_size}"):
-            build_scan(NULL, 2.0, grid_size)
+            build_scan(NULL, math.inf)
 
 
 class TestSolveSpd:
@@ -294,7 +290,7 @@ class TestTransform:
         t0 = float(np.sort(z)[int(np.ceil(0.99 * n)) - 1])
         pts, sides = oracle_points_for(z, t0)
         oracle_vals, _ = xi_oracle(z, NULL, pts, sides)
-        prod_vals, _ = xi_production_at(z, NULL, 4096, pts, sides)
+        prod_vals, _ = xi_production_at(z, NULL, pts, sides)
         assert np.max(np.abs(prod_vals - oracle_vals)) < 1e-4
 
     def test_generic_null_path(self):
@@ -308,33 +304,44 @@ class TestTransform:
 
     @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
     def test_grid_values_need_no_interpolation(self, null_factory):
-        # The process on the scan grid reads G0 from the scan's own values;
-        # interpolating G0 at every point, grid included, gives the same bits.
+        # The process reads G0 on the grid from the scan's own values and at
+        # the jumps from its values at the residuals; interpolating G0 at
+        # every point gives the same bytes.  Bytes, not np.array_equal: the
+        # trace export writes the sign of a zero, and rounding to one decimal
+        # leaves ties and a -0.0 among the residuals.
         null = null_factory()
-        z = np.sort(null.sample(np.random.default_rng(59), 300))
-        trace = transform_standardized(z, null)
-        scan = build_scan(null, trace.t0)
-        n, h = len(z), score_h(null, z)
-        g_at_z = scan(np.minimum(z, trace.t0))
-        pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at_z, h))])
-        pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
+        z_raw = null.sample(np.random.default_rng(59), 300)  # unsorted, as fits give them
+        z_tied = np.round(z_raw, 1)
+        assert len(np.unique(z_tied)) < 300 and np.any(np.signbit(z_tied[z_tied == 0]))
+        for sample in (z_raw, z_tied):
+            trace = transform_standardized(sample, null)
+            z = np.sort(sample)  # as the transform sorts: -0.0 and 0.0 may swap
+            grid, g0 = build_scan(null, trace.t0)
 
-        def interpolated(ts, side):
-            idx = np.searchsorted(z, ts, side=side)
-            suffix = pref_h[-1][None, :] - pref_h[idx]
-            comp = (pref_dot[idx] + np.einsum("ij,ij->i", scan(ts), suffix)) / n
-            return math.sqrt(n) * (idx / n - comp)
+            def g0_at(ts):
+                return np.stack([np.interp(ts, grid, g0[:, c]) for c in range(3)], axis=-1)
 
-        jumps = np.unique(z[z <= trace.t0])
-        pts = np.concatenate([scan.grid, jumps, jumps])
-        vals = np.concatenate([interpolated(scan.grid, "right"),
-                               interpolated(jumps, "left"),
-                               interpolated(jumps, "right")])
-        is_left = np.concatenate([np.zeros(len(scan.grid)), -np.ones(len(jumps)),
-                                  np.zeros(len(jumps))])
-        order = np.lexsort((is_left, pts))
-        assert np.array_equal(trace.eval_points, pts[order])
-        assert np.array_equal(trace.values, vals[order])
+            n, h = len(z), score_h(null, z)
+            g_at_z = g0_at(np.minimum(z, trace.t0))
+            pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at_z, h))])
+            pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
+
+            def interpolated(ts, side):
+                idx = np.searchsorted(z, ts, side=side)
+                suffix = pref_h[-1][None, :] - pref_h[idx]
+                comp = (pref_dot[idx] + np.einsum("ij,ij->i", g0_at(ts), suffix)) / n
+                return math.sqrt(n) * (idx / n - comp)
+
+            jumps = np.unique(z[z <= trace.t0])
+            pts = np.concatenate([grid, jumps, jumps])
+            vals = np.concatenate([interpolated(grid, "right"),
+                                   interpolated(jumps, "left"),
+                                   interpolated(jumps, "right")])
+            is_left = np.concatenate([np.zeros(len(grid)), -np.ones(len(jumps)),
+                                      np.zeros(len(jumps))])
+            order = np.lexsort((is_left, pts))
+            assert trace.eval_points.tobytes() == pts[order].tobytes()
+            assert trace.values.tobytes() == vals[order].tobytes()
 
     def test_trace_rejects_points_beyond_t0(self):
         with pytest.raises(ValueError, match="t0"):
@@ -524,7 +531,7 @@ class TestDecide:
             theta_coeffs=THETA_COEFFS,
             psi_coeffs=IdentityPsi(),
             covariate_law="uniform",
-            error_sampler=ErrorSampler("normal", "normal", (0.5,)),
+            error="normal",
         )
         data = generate(model, n, np.random.default_rng(seed))
         lat = enumerate_lattice(data.m, 2)
@@ -602,7 +609,7 @@ class TestNullCalibration:
             theta_coeffs=THETA_COEFFS,
             psi_coeffs=IdentityPsi(),
             covariate_law="uniform",
-            error_sampler=ErrorSampler("normal", "normal", (0.5,)),
+            error="normal",
         )
         table = power_study([model], [500], reps=500, alpha=0.05,
                             seed=424242, workers=4)

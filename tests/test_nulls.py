@@ -8,11 +8,9 @@ from scipy.integrate import quad
 
 from indirgof.nulls import (
     student_t_null,
-    alternative_samplers,
     check_fisher_information,
     gaussian_null,
     get_null,
-    get_sampler,
     score_h,
 )
 
@@ -93,44 +91,9 @@ class TestScore:
                         rtol=0, atol=0)
 
 
-class TestSamplers:
-    def test_population_sds(self):
-        # Student t(6): sqrt(6/4); Laplace(1/2): sqrt(2)/2
-        assert math.sqrt(6.0 / 4.0) == pytest.approx(1.2247, abs=5e-5)
-        assert math.sqrt(2.0) * 0.5 == pytest.approx(0.7071, abs=5e-5)
-
-    def test_monte_carlo_sds(self):
-        rng = np.random.default_rng(300)
-        s = alternative_samplers()
-        assert s["normal"].sample(rng, 1_000_000).std() == pytest.approx(0.5, abs=0.005)
-        assert s["laplace"].sample(rng, 1_000_000).std() == pytest.approx(0.7071, abs=0.005)
-        assert s["student-t"].sample(rng, 1_000_000).std() == pytest.approx(1.2247, abs=0.02)
-
-    def test_skew_normal_centering(self):
-        # standard centred parametrization: mean 0, sd sqrt(1 - 2 d^2/pi)
-        delta = 3.0 / math.sqrt(10.0)
-        target_sd = math.sqrt(1.0 - 2.0 * delta * delta / math.pi)
-        rng = np.random.default_rng(301)
-        draws = alternative_samplers()["skew-normal"].sample(rng, 1_000_000)
-        assert draws.mean() == pytest.approx(0.0, abs=0.005)
-        assert draws.std() == pytest.approx(target_sd, abs=0.005)
-        assert target_sd == pytest.approx(0.6535, abs=5e-5)
-
-    def test_reproducibility(self):
-        for name in ("normal", "laplace", "skew-normal", "student-t"):
-            a = get_sampler(name).sample(np.random.default_rng(7), 100)
-            b = get_sampler(name).sample(np.random.default_rng(7), 100)
-            assert_allclose(a, b)
-
-    def test_zero_sampler(self):
-        assert_allclose(get_sampler("zero").sample(np.random.default_rng(1), 5),
-                        np.zeros(5))
-
-    def test_unknown_names_list_options(self):
-        with pytest.raises(ValueError, match="options"):
-            get_sampler("cauchy")
-        with pytest.raises(ValueError, match="gaussian"):
-            get_null("uniform")
+def test_unknown_null_lists_options():
+    with pytest.raises(ValueError, match="options: gaussian, student-t"):
+        get_null("uniform")
 
 
 def test_fisher_information_gaussian():

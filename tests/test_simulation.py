@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from indirgof.cli import main
-from indirgof.nulls import ErrorSampler, get_sampler
 from indirgof.simulation import (
+    ERROR_LAWS,
     THETA_COEFFS,
     IdentityPsi,
     LaplaceProductPsi,
@@ -52,6 +52,62 @@ class TestCovariateLaw:
         assert np.mean(np.cos(2 * np.pi * x)) == pytest.approx(-SQRT2 / 8, abs=0.01)
 
 
+class TestErrorLaws:
+    def test_population_sds(self):
+        # Student t(6): sqrt(6/4); Laplace(1/2): sqrt(2)/2
+        assert math.sqrt(6.0 / 4.0) == pytest.approx(1.2247, abs=5e-5)
+        assert math.sqrt(2.0) * 0.5 == pytest.approx(0.7071, abs=5e-5)
+
+    def test_monte_carlo_sds(self):
+        rng = np.random.default_rng(300)
+        assert ERROR_LAWS["normal"](rng, 1_000_000).std() == pytest.approx(0.5, abs=0.005)
+        assert ERROR_LAWS["laplace"](rng, 1_000_000).std() == pytest.approx(0.7071, abs=0.005)
+        assert ERROR_LAWS["student-t"](rng, 1_000_000).std() == pytest.approx(1.2247, abs=0.02)
+
+    def test_skew_normal_centering(self):
+        # standard centred parametrization: mean 0, sd sqrt(1 - 2 d^2/pi)
+        delta = 3.0 / math.sqrt(10.0)
+        target_sd = math.sqrt(1.0 - 2.0 * delta * delta / math.pi)
+        draws = ERROR_LAWS["skew-normal"](np.random.default_rng(301), 1_000_000)
+        assert draws.mean() == pytest.approx(0.0, abs=0.005)
+        assert draws.std() == pytest.approx(target_sd, abs=0.005)
+        assert target_sd == pytest.approx(0.6535, abs=5e-5)
+
+    def test_reproducibility(self):
+        for name in ("normal", "laplace", "skew-normal", "student-t"):
+            a = ERROR_LAWS[name](np.random.default_rng(7), 100)
+            b = ERROR_LAWS[name](np.random.default_rng(7), 100)
+            assert_array_equal(a, b)
+
+    def test_zero_sampler(self):
+        assert_array_equal(ERROR_LAWS["zero"](np.random.default_rng(1), 5), np.zeros(5))
+
+    def test_draws_pinned(self):
+        # The first draws at seed 2024, recorded before the error laws
+        # became plain functions; the parity corpus reaches neither the
+        # skew-normal nor the zero law.
+        pinned = {
+            "normal": ["0x1.07632a01e361cp-1", "0x1.a454df2d545f6p-1",
+                       "0x1.258f693d4d4d4p-1", "-0x1.f24495e03365bp-2"],
+            "laplace": ["0x1.bbbe920cb20c6p-3", "-0x1.b1ba18f890cc9p-2",
+                        "-0x1.eb5200fcac466p-3", "0x1.d3c6a04e13309p-2"],
+            "skew-normal": ["-0x1.c544b962c2560p-3", "0x1.a4d97a0c95c2cp-1",
+                            "0x1.34e5f6c12cb72p-1", "0x1.4f2c8df6e19f4p-2"],
+            "student-t": ["0x1.6a2995414545bp-1", "-0x1.b46e8c76f197cp+0",
+                          "0x1.934866cd7efe0p-1", "0x1.532f92ee04be7p-1"],
+            "zero": ["0x0.0p+0"] * 4,
+        }
+        assert sorted(ERROR_LAWS) == sorted(pinned)
+        for name, hexes in pinned.items():
+            draws = ERROR_LAWS[name](np.random.default_rng(2024), 4)
+            assert [float(v).hex() for v in draws] == hexes, name
+
+    def test_unknown_names_list_options(self):
+        options = "options: laplace, normal, skew-normal, student-t, zero"
+        with pytest.raises(ValueError, match=f"unknown error law 'cauchy'; {options}$"):
+            paper_model("cauchy")
+
+
 class TestDistortionCoefficients:
     def test_unit_mass(self):
         psi = LaplaceProductPsi()
@@ -80,7 +136,7 @@ class TestDistortionCoefficients:
 class TestRegressionSurface:
     def test_value_at_origin_identity_distortion(self):
         model = SyntheticModel(THETA_COEFFS, IdentityPsi(), "uniform",
-                               get_sampler("zero"))
+                               "zero")
         assert ktheta_true(model, np.array([0.0, 0.0])) == pytest.approx(4.5)
 
     def test_theta_coefficient_spot_values(self):
@@ -92,14 +148,13 @@ class TestRegressionSurface:
         bad = dict(THETA_COEFFS)
         bad[(1, 0)] = 0.75  # breaks evenness against (-1, 0)
         with pytest.raises(ValueError, match="even"):
-            SyntheticModel(bad, IdentityPsi(), "uniform", get_sampler("zero"))
+            SyntheticModel(bad, IdentityPsi(), "uniform", "zero")
 
     def test_matches_convolution_quadrature(self):
         """Product-form surface equals the periodic convolution of the
         undistorted surface with the truncated Laplace density."""
         model = paper_model("zero", "uniform")
-        direct = SyntheticModel(THETA_COEFFS, IdentityPsi(), "uniform",
-                                get_sampler("zero"))
+        direct = SyntheticModel(THETA_COEFFS, IdentityPsi(), "uniform", "zero")
         g = 256
         grid = (np.arange(g) + 0.5) / g
         uu, vv = np.meshgrid(grid, grid, indexing="ij")
@@ -192,8 +247,13 @@ class TestPowerStudy:
         assert lines[2].split(",") == [str(v) for v in payload["rows"][1].values()]
 
     def test_reps_validated(self):
-        with pytest.raises(ValueError):
-            power_study([paper_model("normal", "uniform")], [50], reps=0)
+        model = paper_model("normal", "uniform")
+        with pytest.raises(ValueError, match="reps"):
+            power_study([model], [50], reps=0)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            power_study([], [50], reps=1)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            power_study([model], [], reps=1)
 
     @pytest.mark.slow
     def test_power_grows_with_sample_size(self):
@@ -205,5 +265,4 @@ class TestPowerStudy:
 
 def test_unknown_covariate_law_rejected():
     with pytest.raises(ValueError, match="covariate law"):
-        SyntheticModel(THETA_COEFFS, IdentityPsi(), "gaussian",
-                       ErrorSampler("zero", "zero"))
+        SyntheticModel(THETA_COEFFS, IdentityPsi(), "gaussian", "zero")

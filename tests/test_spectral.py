@@ -41,6 +41,8 @@ class TestEnumerateLattice:
             enumerate_lattice(0, 1.0)
         with pytest.raises(ValueError):
             enumerate_lattice(2, 0.0)
+        with pytest.raises(ValueError, match="positive and finite, got inf"):
+            enumerate_lattice(2, float("inf"))
 
     def test_symmetry_and_ordering(self):
         lat = enumerate_lattice(2, 2.5)
