@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .estimation import DEFAULT_DENSITY_FLOOR, response_exponent
+from .estimation import DEFAULT_DENSITY_FLOOR, check_density_floor, response_exponent
 from .spectral import enumerate_lattice
 
 _BLOCK_ROWS = 32
@@ -101,7 +101,7 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
         Candidate cutoff radii; each must pass the lattice size cap.
         Defaults to :func:`default_radius_grid`.
     floor : float
-        Density clamp forwarded to the leave-one-out fits.
+        Density clamp in (0, 1) forwarded to the leave-one-out fits.
 
     Returns
     -------
@@ -110,8 +110,7 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
         break toward the smaller radius.  Scores are compared on the scaled
         responses, so the choice stands where a score in y's units is inf.
     """
-    if not floor > 0:
-        raise ValueError(f"density floor must be positive, got {floor}")
+    check_density_floor(floor)
     if data.n < 3:
         raise InsufficientDataError(
             f"cross-validation needs at least 3 observations, got {data.n}"

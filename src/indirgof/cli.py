@@ -24,7 +24,7 @@ from .nulls import get_null
 from .simulation import COVARIATE_LAWS, PowerRow, paper_model, power_study
 from .spectral import enumerate_lattice
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ class RunConfig:
                             help="fixed cutoff radius (skips CV)")
     floor: float = _option("--floor", _ALL, DEFAULT_DENSITY_FLOOR, type=float,
                            help="density lower clamp")
-    seed: int = _option("--seed", _DECIDES, 0, type=int)
+    seed: int = _option("--seed", ("simulate",), 0, type=int)
     out: str = _option("--out", _ALL, output=True)
     trace_out: str = _option("--trace-out", _RUNS_TEST, output=True)
     qq_out: str = _option("--qq-out", _RUNS_TEST, output=True)
@@ -305,7 +305,7 @@ def _run_test_on(data, config, caveats=()):
     cv, fitted = _select_and_fit(data, config)
     report = decide(fitted, null, config.alpha)
     _write_json({"schema_version": REPORT_SCHEMA_VERSION, "command": config.command,
-                 **report.to_dict(), "seed": config.seed, "cv": cv,
+                 **report.to_dict(), "cv": cv,
                  "caveats": list(caveats)}, config.out)
     if config.trace_out:
         trace = report.trace
@@ -324,6 +324,8 @@ def _cmd_test(config):
 
 
 def _cmd_estimate(config):
+    if config.grid_points < 1:
+        raise ValueError(f"--grid-points must be positive, got {config.grid_points}")
     data = load_csv(config.input)
     cv, fitted = _select_and_fit(data, config)
     axes = [np.linspace(0.0, 1.0, config.grid_points)] * data.m

@@ -28,6 +28,13 @@ from .spectral import FreqLattice
 DEFAULT_DENSITY_FLOOR = 0.05
 
 
+def check_density_floor(floor):
+    """Refuse a floor outside (0, 1): the raw estimate integrates to 1, so a
+    clamp at 1 or above lifts it to at least its mean everywhere."""
+    if not 0.0 < floor < 1.0:
+        raise ValueError(f"density floor must be positive and below 1, got {floor}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Covariate points in the unit cube paired with scalar responses.
@@ -79,8 +86,7 @@ class DensityEstimate:
     floor: float
 
     def __post_init__(self):
-        if not self.floor > 0:
-            raise ValueError(f"density floor must be positive, got {self.floor}")
+        check_density_floor(self.floor)
 
     def evaluate(self, x, clamped=True):
         """Density value(s) at ``x``; shape follows the input points."""
@@ -102,7 +108,7 @@ def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     data : Dataset
     lattice : FreqLattice
     floor : float
-        Positive lower clamp applied on evaluation.
+        Lower clamp in (0, 1) applied on evaluation.
 
     Returns
     -------

@@ -1,13 +1,15 @@
 """Synthetic data generation and Monte-Carlo level/power studies.
 
-The built-in synthetic model is a bivariate trigonometric regression
-distorted by the product of two truncated, normalized Laplace densities
-(mean 1/2, scale 1/10 per axis).  Data generation uses the analytic
-Fourier product of distortion and regression coefficients over the
-13-point support of the regression, so no quadrature sits in the hot
-path.  Covariates are either uniform on the unit square or drawn
-componentwise from the non-trivial cosine density via inverse-cdf
-sampling; errors come from the named laws of :data:`ERROR_LAWS`.
+The study's regression surface is fixed: the bivariate trigonometric
+series :data:`THETA_COEFFS`, distorted by the product of two truncated,
+normalized Laplace densities (:func:`laplace_psi`, mean 1/2 and scale
+1/10 per axis) or left undistorted (:func:`identity_psi`).  Data
+generation uses the analytic Fourier product of distortion and
+regression coefficients over the 13-point support of the regression, so
+no quadrature sits in the hot path.  Covariates are either uniform on
+the unit square or drawn componentwise from the non-trivial cosine
+density via inverse-cdf sampling; errors come from the named laws of
+:data:`ERROR_LAWS`.
 """
 
 import math
@@ -106,36 +108,28 @@ ERROR_LAWS = {"normal": _normal, "laplace": _laplace, "skew-normal": _skew_norma
 # Distortion coefficients and the synthetic model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LaplaceProductPsi:
-    """Fourier coefficients of a product of truncated Laplace densities.
+#: Per-axis mean and scale of the study's truncated Laplace distortion.
+LAPLACE_MEAN, LAPLACE_SCALE = 0.5, 0.1
 
-    Per axis, the density is Laplace(mean, scale) restricted to [0, 1]
-    and renormalized; the defaults match the simulation-study distortion
-    (mean 1/2, scale 1/10), whose coefficients decay like |k|^-2 per
-    axis.
+
+def laplace_psi(k):
+    """Fourier coefficients of the study's product of truncated Laplace densities.
+
+    Per axis, the density is Laplace(LAPLACE_MEAN, LAPLACE_SCALE)
+    restricted to [0, 1] and renormalized, so the coefficient at k = 0
+    is 1 and the rest decay like |k|^-2 per axis.
     """
-
-    mean: float = 0.5
-    scale: float = 0.1
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=np.int64)
-        edge = math.exp(-(1.0 - self.mean) / self.scale)
-        sign = np.where(k % 2 == 0, 1.0, -1.0)
-        factor = (sign - edge) / (
-            (1.0 + (TWO_PI * self.scale) ** 2 * k.astype(float) ** 2) * (1.0 - edge)
-        )
-        return np.prod(factor, axis=-1)
+    k = np.asarray(k, dtype=np.int64)
+    edge = math.exp(-(1.0 - LAPLACE_MEAN) / LAPLACE_SCALE)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    factor = (sign - edge) / ((1.0 + (TWO_PI * LAPLACE_SCALE) ** 2 * k.astype(float) ** 2)
+                              * (1.0 - edge))
+    return np.prod(factor, axis=-1)
 
 
-@dataclass(frozen=True)
-class IdentityPsi:
+def identity_psi(k):
     """No distortion: the direct-regression special case."""
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=np.int64)
-        return np.ones(k.shape[:-1], dtype=float)
+    return np.ones(np.shape(k)[:-1])
 
 
 #: Fourier coefficients of the simulation-study regression function: a
@@ -149,45 +143,32 @@ THETA_COEFFS = {
     (1, 1): -1.0, (-1, -1): -1.0,
     (1, -1): -0.25, (-1, 1): -0.25,
 }
+# The 13 frequencies of THETA_COEFFS in sorted order, and their coefficients.
+_SUPPORT = np.array(sorted(THETA_COEFFS), dtype=np.int64)
+_THETA = np.array([THETA_COEFFS[k] for k in sorted(THETA_COEFFS)], dtype=float)
 
 COVARIATE_LAWS = ("uniform", "nontrivial")
 
 
 @dataclass(frozen=True)
 class SyntheticModel:
-    """Regression coefficients, distortion, covariate law, error law."""
+    """Distortion, covariate law and error law of a study model.
 
-    theta_coeffs: dict
+    The distortion is a module-level function such as :func:`laplace_psi`,
+    so the model pickles for the process pool.
+    """
+
     psi_coeffs: object
     covariate_law: str
     error: str
 
     def __post_init__(self):
         if self.covariate_law not in COVARIATE_LAWS:
-            raise ValueError(
-                f"covariate law must be one of {COVARIATE_LAWS}, "
-                f"got {self.covariate_law!r}"
-            )
+            raise ValueError(f"covariate law must be one of {COVARIATE_LAWS}, "
+                             f"got {self.covariate_law!r}")
         if self.error not in ERROR_LAWS:
             options = ", ".join(sorted(ERROR_LAWS))
             raise ValueError(f"unknown error law {self.error!r}; options: {options}")
-        for k, v in self.theta_coeffs.items():
-            neg = tuple(-ki for ki in k)
-            if self.theta_coeffs.get(neg) != v:
-                raise ValueError(f"regression coefficients must be even in k ({k})")
-        ks = np.array(sorted(self.theta_coeffs), dtype=np.int64)
-        zero = np.zeros((1, ks.shape[1]), dtype=np.int64)
-        if not math.isclose(float(self.psi_coeffs(zero)[0]), 1.0, rel_tol=1e-12):
-            raise ValueError("distortion coefficient at k = 0 must be 1")
-        amps = self.psi_coeffs(ks) * np.array(
-            [self.theta_coeffs[tuple(k)] for k in ks], dtype=float
-        )
-        object.__setattr__(self, "_support", ks)
-        object.__setattr__(self, "_amplitudes", amps)
-
-    @property
-    def m(self):
-        return self._support.shape[1]
 
 
 def ktheta_true(model, x):
@@ -195,19 +176,14 @@ def ktheta_true(model, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    phases = TWO_PI * (pts @ model._support.T.astype(float))
-    vals = np.cos(phases) @ model._amplitudes
+    phases = TWO_PI * (pts @ _SUPPORT.T.astype(float))
+    vals = np.cos(phases) @ (model.psi_coeffs(_SUPPORT) * _THETA)
     return float(vals[0]) if single else vals
 
 
 def paper_model(error="normal", design="uniform"):
     """Simulation-study model with the named error law and design."""
-    return SyntheticModel(
-        theta_coeffs=THETA_COEFFS,
-        psi_coeffs=LaplaceProductPsi(),
-        covariate_law=design,
-        error=error,
-    )
+    return SyntheticModel(psi_coeffs=laplace_psi, covariate_law=design, error=error)
 
 
 def generate(model, n, rng):
@@ -215,9 +191,9 @@ def generate(model, n, rng):
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n}")
     if model.covariate_law == "uniform":
-        x = rng.random((n, model.m))
+        x = rng.random((n, _SUPPORT.shape[1]))
     else:
-        x = np.column_stack([sample_g1(rng, n) for _ in range(model.m)])
+        x = np.column_stack([sample_g1(rng, n) for _ in range(_SUPPORT.shape[1])])
     y = ktheta_true(model, x) + ERROR_LAWS[model.error](rng, n)
     return Dataset(x=x, y=y)
 
@@ -316,7 +292,7 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
     cv_radii : sequence, optional
         Override for the candidate radius grid (default: size-based).
     workers : int
-        Process count for parallel repetitions.
+        Process count for parallel repetitions; 1 runs them serially.
 
     Returns
     -------
@@ -327,6 +303,8 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [(model, n) for model in scenarios for n in n_list]
     if not cells:
         raise ValueError("a study needs at least one scenario and one sample size")

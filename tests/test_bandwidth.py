@@ -179,7 +179,9 @@ def test_nonpositive_radius_rejected(bad):
         cv_select(_uniform_data(rng, 20), [1.0, bad, 2.0])
 
 
-@pytest.mark.parametrize("floor", [float("nan"), 0.0, -1.0])
+# a floor of 1 or more clamps the density to at least its mean everywhere;
+# inf and 1e308 once made every CV score the mean of y**2
+@pytest.mark.parametrize("floor", [float("nan"), 0.0, -1.0, float("inf"), 1e308, 1.0])
 def test_bad_density_floor_rejected(floor):
     rng = np.random.default_rng(31)
     with pytest.raises(ValueError, match="density floor must be positive"):

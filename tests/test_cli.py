@@ -247,17 +247,17 @@ class TestTestCommand:
         out = tmp_path / "report.json"
         trace = tmp_path / "trace.csv"
         qq = tmp_path / "qq.csv"
-        rc = main(["test", str(src), "--seed", "9", "--out", str(out),
+        rc = main(["test", str(src), "--out", str(out),
                    "--trace-out", str(trace), "--qq-out", str(qq)])
         assert rc == 0
         report = json.loads(out.read_text())
         for key in ("schema_version", "statistic", "p_value", "log10_p_value",
                     "t0", "q_alpha", "alpha", "reject", "n", "sigma_hat",
-                    "chosen_radius", "seed", "cv", "ks_diagnostic"):
+                    "chosen_radius", "cv", "ks_diagnostic"):
             assert key in report
-        assert report["schema_version"] == 3
+        assert "seed" not in report
+        assert report["schema_version"] == 4
         assert report["n"] == 120
-        assert report["seed"] == 9
         assert len(qq.read_text().strip().splitlines()) == 121
         header, first = trace.read_text().splitlines()[:2]
         assert header == "t,xi"
@@ -517,11 +517,13 @@ def test_scan_grid_is_not_an_option(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["estimate", "d.csv", "--alpha", "0.1"],
     ["estimate", "d.csv", "--seed", "3"],
+    ["test", "d.csv", "--seed", "3"],
+    ["image", "i.pgm", "--seed", "3"],
     ["simulate", "--null", "student-t"],
 ])
 def test_flag_a_command_does_not_read_is_refused(capsys, argv):
-    # simulate always tests the Gaussian null and estimate decides nothing,
-    # so these flags would be silently ignored
+    # simulate always tests the Gaussian null, estimate decides nothing and
+    # only simulate draws at random, so these flags would be silently ignored
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -623,6 +625,17 @@ def test_unwritable_error_record_is_reported(tmp_path, capsys):
     # an empty study once exited 0 with no rows
     (["simulate", "--n", ""], "at least one scenario and one sample size"),
     (["simulate", "--scenarios", ","], "at least one scenario and one sample size"),
+    # a floor of inf once exited 0 with every CV score equal to mean y**2
+    (["test", "{csv}", "--floor", "inf"], "density floor must be positive and below 1, got inf"),
+    (["estimate", "{csv}", "--radius", "2", "--floor", "1"],
+     "density floor must be positive and below 1, got 1.0"),
+    (["simulate", "--n", "30", "--reps", "1", "--workers", "0"],
+     "workers must be at least 1, got 0"),
+    (["simulate", "--n", "30", "--reps", "1", "--workers", "-2"],
+     "workers must be at least 1, got -2"),
+    # 0 once wrote a header-only grid, -3 failed in numpy naming no flag
+    (["estimate", "{csv}", "--grid-points", "0"], "--grid-points must be positive, got 0"),
+    (["estimate", "{csv}", "--grid-points", "-3"], "--grid-points must be positive, got -3"),
 ])
 def test_configuration_errors_write_error_record(tmp_path, capsys, argv, message):
     cfg, csv, err = tmp_path / "bad.cfg", tmp_path / "d.csv", tmp_path / "e.json"

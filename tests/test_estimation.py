@@ -15,9 +15,9 @@ from indirgof.khmaladze import decide
 from indirgof.nulls import gaussian_null
 from indirgof.simulation import (
     THETA_COEFFS,
-    LaplaceProductPsi,
     generate,
     ktheta_true,
+    laplace_psi,
     paper_model,
 )
 from indirgof.spectral import FreqLattice, enumerate_lattice, weight_matrix
@@ -120,11 +120,10 @@ class TestEstimateCoeffs:
         lat = enumerate_lattice(2, 3)
         dens = estimate_density(data, lat)
         rhat = _complex_coeffs(estimate_coeffs(data, dens, lat))
-        psi = LaplaceProductPsi()
         for i, k in enumerate(lat.indices):
             if np.linalg.norm(k) > 2:
                 continue
-            truth = psi(k[None, :])[0] * THETA_COEFFS.get(tuple(k), 0.0)
+            truth = laplace_psi(k[None, :])[0] * THETA_COEFFS.get(tuple(k), 0.0)
             assert abs(rhat[i] - truth) < 0.05
 
 

@@ -33,10 +33,9 @@ from indirgof.nulls import (
     student_t_null,
 )
 from indirgof.simulation import (
-    THETA_COEFFS,
-    IdentityPsi,
     SyntheticModel,
     generate,
+    identity_psi,
     paper_model,
     power_study,
 )
@@ -527,12 +526,7 @@ class TestDecide:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 120),
            scale=st.floats(1e-300, 1e300))
     def test_scale_invariance_property(self, seed, n, scale):
-        model = SyntheticModel(
-            theta_coeffs=THETA_COEFFS,
-            psi_coeffs=IdentityPsi(),
-            covariate_law="uniform",
-            error="normal",
-        )
+        model = SyntheticModel(identity_psi, "uniform", "normal")
         data = generate(model, n, np.random.default_rng(seed))
         lat = enumerate_lattice(data.m, 2)
         z1 = fit(data, lat).z
@@ -605,12 +599,7 @@ class TestNullCalibration:
     @pytest.mark.slow
     def test_estimated_direct_regression_level(self):
         """Full pipeline level on the direct (undistorted) model."""
-        model = SyntheticModel(
-            theta_coeffs=THETA_COEFFS,
-            psi_coeffs=IdentityPsi(),
-            covariate_law="uniform",
-            error="normal",
-        )
+        model = SyntheticModel(identity_psi, "uniform", "normal")
         table = power_study([model], [500], reps=500, alpha=0.05,
                             seed=424242, workers=4)
         assert table.rows[0].failures == 0

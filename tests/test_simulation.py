@@ -9,13 +9,13 @@ from indirgof.cli import main
 from indirgof.simulation import (
     ERROR_LAWS,
     THETA_COEFFS,
-    IdentityPsi,
-    LaplaceProductPsi,
     SyntheticModel,
     g1_cdf,
     g1_density,
     generate,
+    identity_psi,
     ktheta_true,
+    laplace_psi,
     paper_model,
     poisson_count_image,
     power_study,
@@ -110,33 +110,29 @@ class TestErrorLaws:
 
 class TestDistortionCoefficients:
     def test_unit_mass(self):
-        psi = LaplaceProductPsi()
-        assert psi(np.array([[0, 0]]))[0] == pytest.approx(1.0, abs=1e-15)
+        assert laplace_psi(np.array([[0, 0]]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_match_numeric_fourier_integral(self):
         # one-axis coefficients against direct quadrature of the
         # truncated, normalized Laplace density
-        psi = LaplaceProductPsi()
         grid = (np.arange(4096) + 0.5) / 4096
         dens = truncated_laplace_pdf(grid)
         for k in (0, 1, 2, 3, 5):
             numeric = np.mean(dens * np.exp(-2j * np.pi * k * grid))
-            analytic = psi(np.array([[k, 0]]))[0]
+            analytic = laplace_psi(np.array([[k, 0]]))[0]
             assert abs(numeric.real - analytic) < 1e-6
             assert abs(numeric.imag) < 1e-9
 
     def test_decay_rate(self):
         # coefficients fall off like |k|^-2 per axis
-        psi = LaplaceProductPsi()
         k = np.array([[8, 0], [16, 0]])
-        ratio = psi(k)[0] / psi(2 * k[:1])[0]
+        ratio = laplace_psi(k)[0] / laplace_psi(2 * k[:1])[0]
         assert ratio == pytest.approx(4.0, rel=0.05)
 
 
 class TestRegressionSurface:
     def test_value_at_origin_identity_distortion(self):
-        model = SyntheticModel(THETA_COEFFS, IdentityPsi(), "uniform",
-                               "zero")
+        model = SyntheticModel(identity_psi, "uniform", "zero")
         assert ktheta_true(model, np.array([0.0, 0.0])) == pytest.approx(4.5)
 
     def test_theta_coefficient_spot_values(self):
@@ -145,16 +141,29 @@ class TestRegressionSurface:
         assert THETA_COEFFS[(1, -1)] == -0.25
 
     def test_even_symmetry_required(self):
-        bad = dict(THETA_COEFFS)
-        bad[(1, 0)] = 0.75  # breaks evenness against (-1, 0)
-        with pytest.raises(ValueError, match="even"):
-            SyntheticModel(bad, IdentityPsi(), "uniform", "zero")
+        # a real surface needs theta(-k) = theta(k)
+        for k, v in THETA_COEFFS.items():
+            assert THETA_COEFFS[tuple(-ki for ki in k)] == v, k
+
+    def test_surface_pinned(self):
+        # recorded before the distortions became module functions; the
+        # parity corpus checks the surface only to within 1e-12
+        pts = np.array([[0.0, 0.0], [0.25, 0.75], [0.5, 0.125], [0.9, 0.3]])
+        pinned = {
+            laplace_psi: ["0x1.ab5425d4863eep+0", "0x1.19b66b09c0a7cp+2",
+                          "0x1.9e25146a4cc91p+2", "0x1.5c5e50eac7cb8p+2"],
+            identity_psi: ["0x1.2000000000000p+2", "0x1.0000000000000p+2",
+                           "0x1.0a827999fcef4p+3", "0x1.cdaa66d2c7dddp+2"],
+        }
+        for psi, hexes in pinned.items():
+            values = ktheta_true(SyntheticModel(psi, "uniform", "zero"), pts)
+            assert [float(v).hex() for v in values] == hexes, psi.__name__
 
     def test_matches_convolution_quadrature(self):
         """Product-form surface equals the periodic convolution of the
         undistorted surface with the truncated Laplace density."""
         model = paper_model("zero", "uniform")
-        direct = SyntheticModel(THETA_COEFFS, IdentityPsi(), "uniform", "zero")
+        direct = SyntheticModel(identity_psi, "uniform", "zero")
         g = 256
         grid = (np.arange(g) + 0.5) / g
         uu, vv = np.meshgrid(grid, grid, indexing="ij")
@@ -254,6 +263,10 @@ class TestPowerStudy:
             power_study([], [50], reps=1)
         with pytest.raises(ValueError, match="at least one scenario"):
             power_study([model], [], reps=1)
+        # a worker count below 1 once ran serially without a word
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+                power_study([model], [50], reps=1, workers=workers)
 
     @pytest.mark.slow
     def test_power_grows_with_sample_size(self):
@@ -265,4 +278,4 @@ class TestPowerStudy:
 
 def test_unknown_covariate_law_rejected():
     with pytest.raises(ValueError, match="covariate law"):
-        SyntheticModel(THETA_COEFFS, IdentityPsi(), "gaussian", "zero")
+        SyntheticModel(identity_psi, "gaussian", "zero")
