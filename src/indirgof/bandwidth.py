@@ -6,12 +6,15 @@ the coefficient sums (sums over i != j, normalized by n - 1).  With
 pairwise weights W and row sums rs this is the exact identity
 pred_j = sum_{i != j} y_i W_ij / max(rs_i - W_ij, floor (n - 1)).
 
-All radii are scored in one blocked pass over nested shells: with the
-pairs of the largest lattice's real basis Z (:meth:`FreqLattice.basis`)
-sorted by norm, each smaller lattice is a column prefix.  W_ij = 1 + Z_i.Z_j
-and rs costs O(nN).  Each block of 32 rows adds one shell per radius and
-sums its held-out terms while in cache, in O(32 n) working memory with no
-n x n matrix; W_jj is the lattice size, so the i = j term is closed-form.
+All radii are scored in one blocked pass over nested shells: the largest
+lattice's real basis Z (:meth:`FreqLattice.basis`) is held as one
+C-contiguous (N - 1, n) array Z^T with its cos/sin pairs sorted by norm,
+so each smaller lattice is a row prefix.  W_ij = 1 + Z_i.Z_j and rs costs
+O(nN).  Each block of 32 rows adds one shell per radius by one full-width
+product and sums its held-out terms while in cache, in O(32 n) working
+memory with no n x n matrix; W_jj is the lattice size N_r, so the i = j
+term is closed-form.  As |W_ij| <= N_r, a block whose rows all have
+rs_i - N_r (1 + 1e-9) >= floor (n - 1) skips the clamp, which cannot act.
 """
 
 from dataclasses import dataclass
@@ -23,9 +26,6 @@ from .estimation import DEFAULT_DENSITY_FLOOR, check_density_floor, response_exp
 from .spectral import enumerate_lattice
 
 _BLOCK_ROWS = 32
-#: OpenBLAS runs products of at most 2**19 multiply-adds on one thread; block
-#: products stalled ~16 ms when threaded, so each is cut into column pieces that size.
-_SERIAL_TERMS = 2**19
 
 
 @dataclass(frozen=True)
@@ -53,32 +53,35 @@ def default_radius_grid(n, m):
     return list(range(1, r_max + 1))
 
 
-def _prefix_scores(data, z, prefixes, floor):
-    """Leave-one-out scores of the lattices spanned by column prefixes of ``z``.
+def _prefix_scores(data, zt, prefixes, floor):
+    """Leave-one-out scores of the lattices spanned by row prefixes of ``zt``.
 
-    ``z`` is a real basis at the data with its cos/sin pairs ordered so that
-    every lattice is a column prefix; ``prefixes`` are distinct ascending
-    column counts.  Returns the scores of y scaled by 2**-e, e from
-    :func:`response_exponent`, and those of y, which are inf beyond double range.
+    ``zt`` is a real basis at the data, shape (N - 1, n), with its cos/sin
+    pairs ordered so that every lattice is a row prefix; ``prefixes`` are
+    distinct ascending row counts.  Returns the scores of y scaled by 2**-e,
+    e from :func:`response_exponent`, and those of y, inf beyond double range.
     """
     e = response_exponent(data.y)
     n, y, lo = data.n, np.ldexp(data.y, -e), floor * (data.n - 1)
     shells = list(zip([0, *prefixes], prefixes))
-    total = z.sum(axis=0)
-    row_sums = n + np.cumsum([z[:, a:b] @ total[a:b] for a, b in shells], axis=0)
-    colsum = np.zeros((len(shells), n))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, n))
-        w = np.ones((rows.stop - start, n))
-        tmp = np.empty_like(w)
-        for r, (a, b) in enumerate(shells):
-            step = max(1, _SERIAL_TERMS // (_BLOCK_ROWS * max(b - a, 1)))
-            for c in range(0, n, step):
-                w[:, c:c + step] += z[rows, a:b] @ z[c:c + step, a:b].T
-            np.subtract(row_sums[r, rows, None], w, out=tmp)
-            np.maximum(tmp, lo, out=tmp)
-            colsum[r] += y[rows] @ np.divide(w, tmp, out=tmp)
+    total = zt.sum(axis=1)
+    row_sums = n + np.cumsum([total[a:b] @ zt[a:b] for a, b in shells], axis=0)
     sizes = np.array(prefixes, dtype=float)[:, None] + 1.0
+    starts = range(0, n, _BLOCK_ROWS)
+    clamps = np.minimum.reduceat(row_sums, starts, axis=1) - sizes * (1 + 1e-9) < lo
+    colsum = np.zeros((len(shells), n))
+    w_rows, tmp_rows = np.empty((2, _BLOCK_ROWS, n))
+    for start, clamp in zip(starts, clamps.T):
+        rows = slice(start, min(start + _BLOCK_ROWS, n))
+        w, tmp = w_rows[:rows.stop - start], tmp_rows[:rows.stop - start]
+        w.fill(1.0)
+        for r, (a, b) in enumerate(shells):
+            w += zt[a:b, rows].T @ zt[a:b]
+            np.copyto(tmp, row_sums[r, rows, None])
+            tmp -= w
+            if clamp[r]:
+                np.maximum(tmp, lo, out=tmp)
+            colsum[r] += y[rows] @ np.divide(w, tmp, out=tmp)
     pred = colsum - y * sizes / np.maximum(row_sums - sizes, lo)
     scaled = np.mean((y - pred) ** 2, axis=1)
     with np.errstate(over="ignore"):
@@ -87,8 +90,9 @@ def _prefix_scores(data, z, prefixes, floor):
 
 def loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     """Mean squared leave-one-out prediction error for one lattice."""
-    z = lattice.basis(data.x)
-    return float(_prefix_scores(data, z, [z.shape[1]], floor)[1][0])
+    check_density_floor(floor)
+    zt = lattice.basis(data.x).T
+    return float(_prefix_scores(data, zt, [len(zt)], floor)[1][0])
 
 
 def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
@@ -128,8 +132,8 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
     order = np.argsort(norms, kind="stable")
     counts = np.searchsorted(norms[order], np.square(radii), side="right")
     prefixes, which = np.unique(2 * counts, return_inverse=True)
-    z = lattice.basis(data.x).reshape(data.n, -1, 2)[:, order].reshape(data.n, -1)
-    scaled, scores = _prefix_scores(data, z, prefixes.tolist(), floor)
+    zt = lattice.basis(data.x).T.reshape(-1, 2, data.n)[order].reshape(-1, data.n)
+    scaled, scores = _prefix_scores(data, zt, prefixes.tolist(), floor)
     scored = tuple((r, float(scores[k])) for r, k in zip(radii, which))
     chosen = min(zip(radii, which), key=lambda rk: (scaled[rk[1]], rk[0]))[0]
     return CvReport(candidates=scored, chosen=chosen)

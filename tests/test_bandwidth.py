@@ -143,17 +143,22 @@ def test_blocked_pass_matches_dense_oracle(m, n):
         assert score == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_blocked_pass_matches_dense_oracle_under_active_floor(m):
+def _clustered_data(rng, n, m):
     # half the covariates in a tight cluster: the Dirichlet kernel's side
     # lobes push the leave-one-out density below the floor (even below
     # zero) at the sparse points, so the clamp decides some terms
-    rng = np.random.default_rng(31 + m)
-    n = 120
     x = rng.random((n, m))
     x[: n // 2] = np.clip(0.3 + 0.03 * rng.standard_normal((n // 2, m)), 0.0, 1.0)
     y = np.cos(2.0 * np.pi * x[:, 0]) + 0.3 * rng.standard_normal(n)
-    data = Dataset(x=x, y=y)
+    return Dataset(x=x, y=y)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_blocked_pass_matches_dense_oracle_under_active_floor(m):
+    rng = np.random.default_rng(31 + m)
+    n = 120
+    data = _clustered_data(rng, n, m)
+    x = data.x
     report = cv_select(data, [1, 2, 3])
     clamped = []
     for radius, score in report.candidates:
@@ -164,6 +169,22 @@ def test_blocked_pass_matches_dense_oracle_under_active_floor(m):
         assert score == pytest.approx(dense_loo_score(data, lat), rel=1e-12, abs=0.0)
         assert loo_score(data, lat) == pytest.approx(score, rel=1e-12, abs=0.0)
     assert all(clamped)
+
+
+@pytest.mark.parametrize(
+    "design", [_uniform_data, _clustered_data], ids=["uniform", "clustered"]
+)
+def test_blocked_pass_matches_dense_oracle_at_large_n(design):
+    # shell products this wide run on several BLAS threads; in the clustered
+    # design the bound |W_ij| <= N skips the clamp in the dense half's row
+    # blocks while the sparse half's need it
+    n, m = 1000, 2
+    data = design(np.random.default_rng(34), n, m)
+    report = cv_select(data, [1, 2, 3, 4, 5])
+    for radius, score in report.candidates:
+        assert score == pytest.approx(
+            dense_loo_score(data, enumerate_lattice(m, radius)), rel=1e-12, abs=0.0
+        )
 
 
 def test_candidates_keep_caller_order():
@@ -181,11 +202,21 @@ def test_nonpositive_radius_rejected(bad):
 
 # a floor of 1 or more clamps the density to at least its mean everywhere;
 # inf and 1e308 once made every CV score the mean of y**2
-@pytest.mark.parametrize("floor", [float("nan"), 0.0, -1.0, float("inf"), 1e308, 1.0])
+_BAD_FLOORS = [float("nan"), 0.0, -1.0, float("inf"), 1e308, 1.0]
+
+
+@pytest.mark.parametrize("floor", _BAD_FLOORS)
 def test_bad_density_floor_rejected(floor):
     rng = np.random.default_rng(31)
     with pytest.raises(ValueError, match="density floor must be positive"):
         cv_select(_uniform_data(rng, 20), [1.0, 2.0, 3.0], floor=floor)
+
+
+@pytest.mark.parametrize("floor", _BAD_FLOORS)
+def test_loo_score_rejects_bad_density_floor(floor):
+    rng = np.random.default_rng(31)
+    with pytest.raises(ValueError, match="density floor must be positive"):
+        loo_score(_uniform_data(rng, 20), enumerate_lattice(1, 2.0), floor=floor)
 
 
 def test_radius_over_lattice_cap_rejected():
@@ -203,4 +234,4 @@ def test_peak_allocation_stays_linear_in_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 5e6
