@@ -14,7 +14,10 @@ information for location and scale is a documented precondition;
 :func:`check_fisher_information` probes it by quadrature and warns, but
 nothing in the test calls it.
 
-The built-in nulls are the Gaussian and the unit-variance Student t.  Both
+The built-in nulls are the Gaussian and the unit-variance Student t.  The
+Gaussian law is built from the standard library (``math.erfc`` and
+``statistics.NormalDist``), so a Gaussian run imports nothing from scipy;
+the Student t functions import ``scipy.special`` when first called.  Both
 have smooth scores, so the tail information matrix of the transform stays
 invertible at every finite point, and both give that matrix in closed
 form.  A law whose location score is piecewise
@@ -27,12 +30,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,34 @@ def _norm_score(t):
     return np.asarray(t, dtype=float)
 
 
+def _elementwise(func, x):
+    """``func`` of every element of ``x``: a float for a scalar, else an array of its shape."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
+
+
+def _norm_sf(t):
+    """Upper tail 1 - Phi(t) as erfc(t / sqrt 2) / 2, accurate far into both tails."""
+    return 0.5 * _elementwise(math.erfc, _SQRT_HALF * np.asarray(t, dtype=float))
+
+
+def _norm_cdf(t):
+    return _norm_sf(-np.asarray(t, dtype=float))
+
+
+def _norm_quantile_at(p):
+    if 0.0 < p < 1.0:
+        return _STANDARD_NORMAL.inv_cdf(p)
+    if p == 0.0:
+        return -math.inf
+    return math.inf if p == 1.0 else math.nan
+
+
+def _norm_quantile(p):
+    """Inverse of :func:`_norm_cdf`: -inf at 0, +inf at 1, NaN for NaN or p outside [0, 1]."""
+    return _elementwise(_norm_quantile_at, p)
+
+
 def _symmetric(g00, g01, g02, g11, g12, g22):
     """Symmetric 3x3 matrices, shape ``g00.shape + (3, 3)``, from their upper triangles."""
     out = np.empty(np.shape(g00) + (3, 3))
@@ -79,28 +112,29 @@ def gamma_closed_form_gaussian(t):
     """Closed-form tail information matrix of the standard normal null.
 
     Vectorized: scalar ``t`` yields a (3, 3) matrix, an array of shape
-    ``s`` yields ``s + (3, 3)``.  The survival function is evaluated as
-    ``ndtr(-t)`` for tail stability.
+    ``s`` yields ``s + (3, 3)``.  The survival function is evaluated
+    through erfc for tail stability.
     """
     t = np.asarray(t, dtype=float)
     phi = _norm_pdf(t)
-    sf = ndtr(-t)
-    return _symmetric(sf, phi, t * phi, sf + t * phi, (t * t + 1.0) * phi,
-                      2.0 * sf + (t**3 + t) * phi)
+    sf = _norm_sf(t)
+    tp = (t * t + 1.0) * phi
+    return _symmetric(sf, phi, t * phi, sf + t * phi, tp, 2.0 * sf + t * tp)
 
 
 def gaussian_null():
     """Standard normal null model.
 
-    The cdf/quantile pair is backed by scipy's ``ndtr``/``ndtri``, which
-    invert each other well below the 1e-10 contract checked in the tests.
+    The cdf is ``math.erfc`` and the quantile ``statistics.NormalDist``'s
+    ``inv_cdf``, each applied element by element; they invert each other
+    well below the 1e-10 contract checked in the tests.
     """
     return NullModel(
         name="gaussian",
-        cdf=ndtr,
+        cdf=_norm_cdf,
         pdf=_norm_pdf,
         location_score=_norm_score,
-        quantile=ndtri,
+        quantile=_norm_quantile,
         tail_matrix=gamma_closed_form_gaussian,
     )
 
@@ -110,6 +144,8 @@ def _t_scale(df):
 
 
 def _t_log_norm(df):
+    from scipy.special import gammaln  # local: a Gaussian run loads no scipy module
+
     return gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0) - 0.5 * math.log(df * math.pi)
 
 
@@ -119,6 +155,8 @@ def _t_pdf_raw(df, x):
 
 
 def _t_cdf(df, scale, t):
+    from scipy.special import stdtr
+
     return stdtr(df, scale * np.asarray(t, dtype=float))
 
 
@@ -132,6 +170,8 @@ def _t_score(df, scale, t):
 
 
 def _t_quantile(df, scale, p):
+    from scipy.special import stdtrit
+
     return stdtrit(df, np.asarray(p, dtype=float)) / scale
 
 
@@ -149,6 +189,8 @@ def _t_tail_matrix(df, scale, t):
     where c_d is the t_d normalising constant.  The entries tend to
     :func:`gamma_closed_form_gaussian` as df -> inf.
     """
+    from scipy.special import stdtr
+
     x = scale * np.asarray(t, dtype=float)
     w = 1.0 + x * x / df
     f = _t_pdf_raw(df, x)

@@ -12,7 +12,9 @@ density via inverse-cdf sampling; errors come from the named laws of
 :data:`ERROR_LAWS`.
 """
 
+import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -266,6 +268,45 @@ def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
     return bool(outcome.reject)
 
 
+def _loaded_openblas():
+    """ctypes handles of the OpenBLAS libraries mapped into this process.
+
+    Read from ``/proc/self/maps``, so a BLAS that numpy has not loaded is
+    never touched; where that file does not exist the list is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip() for line in fh})
+    except OSError:
+        return []
+    libs = []
+    for path in paths:
+        if "openblas" in os.path.basename(path):
+            try:
+                libs.append(ctypes.CDLL(path))
+            except OSError:  # the file was deleted or replaced since it was mapped
+                pass
+    return libs
+
+
+def _one_blas_thread():
+    """Pool initializer: run numpy's OpenBLAS on one thread in this worker.
+
+    The workers already keep the cores busy with whole repetitions, so BLAS
+    threads inside them only oversubscribe the cores.  numpy's wheels
+    bundle scipy-openblas, whose setter carries a ``scipy_`` prefix and a
+    ``64_`` suffix; a system OpenBLAS has the plain name; any other BLAS
+    is left as it is.
+    """
+    for lib in _loaded_openblas():
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def _rep_task(args):
     model, n, alpha, seed_key, cv_radii, floor = args
     try:
@@ -314,7 +355,7 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         for r in range(reps)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             raw = list(pool.map(_rep_task, tasks, chunksize=4))
     else:
         raw = [_rep_task(t) for t in tasks]

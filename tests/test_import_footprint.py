@@ -1,10 +1,14 @@
-"""A run loads only ``scipy.special`` from scipy.
+"""A Gaussian run loads nothing from scipy; a Student t run only ``scipy.special``.
 
-Importing ``scipy.integrate`` pulls in ``scipy.optimize``, ``scipy.linalg``
-and ``scipy.sparse``, a few hundred modules and tens of MB of memory in every
-process and pool worker.  The pipeline needs none of them: Gamma is in
-closed form and the trapezoid sum is numpy.  Only the reference quadratures
-import ``scipy.integrate``, inside the function.
+``scipy.special`` alone costs a Gaussian process about a third of a second
+and over a dozen MB at start-up, since it loads numpy's lazy submodules
+with it.  The Gaussian null takes its law from ``math`` and ``statistics``
+instead; only the Student t functions import ``scipy.special``, when first
+called.  Importing ``scipy.integrate`` pulls in ``scipy.optimize``,
+``scipy.linalg`` and ``scipy.sparse``, a few hundred modules and tens of MB
+of memory in every process and pool worker.  The pipeline needs none of
+them: Gamma is in closed form and the trapezoid sum is numpy.  Only the
+reference quadratures import ``scipy.integrate``, inside the function.
 """
 
 import json
@@ -18,31 +22,55 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
          "scipy.stats")
 
-CHILD = """
+SETUP = """
 import json, sys
 import numpy as np
 from indirgof.cli import main, write_dataset_csv
 from indirgof.simulation import generate, paper_model, power_study
 
-tmp, heavy = sys.argv[1], tuple(sys.argv[2:])
+tmp, prefixes = sys.argv[1], tuple(sys.argv[2:])
 model = paper_model("normal", "uniform")
 write_dataset_csv(generate(model, 150, np.random.default_rng(3)), f"{tmp}/d.csv")
-for null in ("gaussian", "student-t"):
+
+
+def run_test(null):
     rc = main(["test", f"{tmp}/d.csv", "--null", null, "--out", f"{tmp}/{null}.json",
                "--trace-out", f"{tmp}/{null}-trace.csv", "--qq-out", f"{tmp}/{null}-qq.csv"])
     assert rc == 0, null
-table = power_study([model], [60], reps=2, seed=4)
-assert table.rows[0].failures == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m in heavy or m.startswith(tuple(p + "." for p in heavy)))))
 """
+
+REPORT = """
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in prefixes or m.startswith(tuple(p + "." for p in prefixes)))))
+"""
+
+GAUSSIAN_CHILD = SETUP + """
+run_test("gaussian")
+assert main(["estimate", f"{tmp}/d.csv", "--out", f"{tmp}/grid.csv"]) == 0
+table = power_study([model], [60], reps=2, seed=4, workers=1)
+assert table.rows[0].failures == 0
+""" + REPORT
+
+STUDENT_T_CHILD = SETUP + """
+run_test("student-t")
+""" + REPORT
+
+
+def _loaded(child, tmp_path, prefixes):
+    """Modules named by, or inside, ``prefixes`` that ``child`` has loaded when it ends."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child, str(tmp_path), *prefixes],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_gaussian_run_loads_no_scipy_module(tmp_path):
+    loaded = _loaded(GAUSSIAN_CHILD, tmp_path, ["scipy"])
+    assert loaded == [], f"{len(loaded)} modules loaded, first {loaded[:5]}"
 
 
 def test_run_loads_no_heavy_scipy_subpackage(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path), *HEAVY],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    loaded = _loaded(STUDENT_T_CHILD, tmp_path, HEAVY)
     assert loaded == [], f"{len(loaded)} modules loaded, first {loaded[:5]}"

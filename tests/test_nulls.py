@@ -3,12 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from indirgof.nulls import (
     student_t_null,
     check_fisher_information,
+    gamma_closed_form_gaussian,
     gaussian_null,
     get_null,
     score_h,
@@ -29,6 +30,39 @@ class TestGaussianNull:
         null = gaussian_null()
         ps = np.linspace(0.001, 0.999, 499)
         assert np.max(np.abs(null.cdf(null.quantile(ps)) - ps)) < 1e-10
+
+    def test_cdf_and_survival_match_high_precision(self):
+        # Rounding t / sqrt(2) to a double moves Phi(t) by up to t^2 * 1.1e-16
+        # relative, hence the t^2 in the bound.  This grid measures 3.4e-16 (scipy's
+        # ndtr: 5.9e-16).
+        ts = np.linspace(-38.0, 38.0, 1521)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.ncdf(t)) for t in ts])
+            ref_sf = np.array([float(mpmath.ncdf(-t)) for t in ts])
+        bound = 1e-15 * np.maximum(1.0, ts * ts)
+        for got, want in ((gaussian_null().cdf(ts), ref),
+                          (gamma_closed_form_gaussian(ts)[:, 0, 0], ref_sf)):
+            kept = want > 1e-300
+            rel = np.abs(got[kept] - want[kept]) / want[kept]
+            assert np.all(rel <= bound[kept]), float(np.max(rel / bound[kept]))
+
+    def test_quantile_edge_values(self):
+        # scipy's ndtri: -inf at 0, +inf at 1, NaN for NaN and outside [0, 1]
+        quantile = gaussian_null().quantile
+        got = quantile(np.array([0.0, 1.0, np.nan, -0.1, 1.1, -np.inf, np.inf]))
+        assert_array_equal(got, [-np.inf, np.inf] + [np.nan] * 5)
+        assert quantile(0.0) == -np.inf and quantile(1.0) == np.inf
+        assert math.isnan(quantile(np.nan)) and math.isnan(quantile(2.0))
+        assert quantile(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_quantile_round_trip_to_rounding(self):
+        # q is a rounded double, so Phi(q) may move by q^2 * 1.1e-16 relative
+        null = gaussian_null()
+        ps = np.linspace(1e-6, 1.0 - 1e-6, 20001)
+        q = null.quantile(ps)
+        err = np.abs(null.cdf(q) - ps)
+        assert np.max(err) <= 2.3e-16
+        assert np.all(err <= 2e-15 * ps * np.maximum(1.0, q * q))
 
     @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
     def test_moments_by_quadrature(self, null_factory):

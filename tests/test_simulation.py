@@ -1,10 +1,13 @@
+import ctypes
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from indirgof import simulation
 from indirgof.cli import main
 from indirgof.simulation import (
     ERROR_LAWS,
@@ -25,6 +28,27 @@ from indirgof.simulation import (
 from helpers import truncated_laplace_pdf
 
 SQRT2 = math.sqrt(2.0)
+
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads():
+    """Thread count of each loaded OpenBLAS that has a getter."""
+    counts = []
+    for lib in simulation._loaded_openblas():
+        for name in _BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def _rep_on_one_blas_thread(*args):
+    """Stands in for a repetition: "rejects" when this process runs BLAS on one thread."""
+    counts = _blas_threads()
+    return bool(counts) and all(c == 1 for c in counts)
 
 
 class TestCovariateLaw:
@@ -228,6 +252,19 @@ class TestPowerStudy:
         parallel = power_study([model], [60], reps=6, alpha=0.05, seed=4,
                                workers=2)
         assert serial == parallel
+        # failed repetitions are counted alike in the pool (to_dict: the rate is NaN)
+        serial = power_study([model], [30], reps=3, seed=4, cv_radii=[2500.0])
+        parallel = power_study([model], [30], reps=3, seed=4, cv_radii=[2500.0], workers=2)
+        assert serial.to_dict() == parallel.to_dict() and serial.rows[0].failures == 3
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stand-in repetition reaches the workers only by fork")
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        if not _blas_threads():
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter")
+        monkeypatch.setattr(simulation, "run_single_rep", _rep_on_one_blas_thread)
+        row = power_study([paper_model()], [30], reps=8, workers=2).rows[0]
+        assert (row.rejections, row.failures) == (8, 0)
 
     def test_failures_reported_not_dropped(self):
         model = paper_model("normal", "uniform")
