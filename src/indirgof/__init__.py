@@ -1,7 +1,7 @@
 """Fourier-series estimation of convolution-distorted regression and an
 asymptotically distribution-free goodness-of-fit test for the error law."""
 
-from .bandwidth import CvReport, cv_select, default_radius_grid
+from .bandwidth import CvReport, cv_select, default_radius_grid, select_and_fit
 from .errors import (
     DataFormatError,
     DegenerateFitError,

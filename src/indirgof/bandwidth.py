@@ -1,4 +1,4 @@
-"""Leave-one-out cross-validation over a grid of cutoff radii.
+"""Leave-one-out choice of the cutoff radius, and the fit at it (:func:`select_and_fit`).
 
 The score of a radius is the mean squared leave-one-out prediction error;
 leaving out observation j removes it from both the density estimate and
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .estimation import DEFAULT_DENSITY_FLOOR, check_density_floor, response_exponent
+from .estimation import DEFAULT_DENSITY_FLOOR, check_density_floor, fit, response_exponent
 from .spectral import enumerate_lattice
 
 _BLOCK_ROWS = 32
@@ -137,3 +137,17 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
     scored = tuple((r, float(scores[k])) for r, k in zip(radii, which))
     chosen = min(zip(radii, which), key=lambda rk: (scaled[rk[1]], rk[0]))[0]
     return CvReport(candidates=scored, chosen=chosen)
+
+
+def select_and_fit(data, radii=None, floor=DEFAULT_DENSITY_FLOOR, *, radius=None):
+    """Fit the regression at the cross-validated radius, or at a fixed one.
+
+    Returns ``(report, fitted)``: the :class:`CvReport` of :func:`cv_select`
+    over ``radii``, or ``None`` when a fixed ``radius`` skips cross-validation,
+    and the :class:`~indirgof.estimation.RegressionFit` at the chosen radius.
+    """
+    report = None
+    if radius is None:
+        report = cv_select(data, radii, floor)
+        radius = report.chosen
+    return report, fit(data, enumerate_lattice(data.m, float(radius)), floor)

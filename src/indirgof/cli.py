@@ -16,13 +16,12 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .bandwidth import cv_select
+from .bandwidth import select_and_fit
 from .errors import DataFormatError, IndirgofError, InsufficientDataError
-from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
+from .estimation import DEFAULT_DENSITY_FLOOR, Dataset
 from .khmaladze import decide
 from .nulls import get_null
 from .simulation import COVARIATE_LAWS, PowerRow, paper_model, power_study
-from .spectral import enumerate_lattice
 
 REPORT_SCHEMA_VERSION = 4
 
@@ -290,22 +289,13 @@ class RunConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-def _select_and_fit(data, config):
-    """The CV record (``None`` for a fixed radius) and the fit at the chosen radius."""
-    if config.radius is not None:
-        cv, radius = None, float(config.radius)
-    else:
-        cv_report = cv_select(data, config.cv_grid, config.floor)
-        cv, radius = cv_report.as_dict(), cv_report.chosen
-    return cv, fit(data, enumerate_lattice(data.m, radius), config.floor)
-
-
 def _run_test_on(data, config, caveats=()):
     null = get_null(config.null_name)
-    cv, fitted = _select_and_fit(data, config)
+    # no fixed radius: a shared config file's ``radius`` is for ``estimate``
+    cv, fitted = select_and_fit(data, config.cv_grid, config.floor)
     report = decide(fitted, null, config.alpha)
     _write_json({"schema_version": REPORT_SCHEMA_VERSION, "command": config.command,
-                 **report.to_dict(), "cv": cv,
+                 **report.to_dict(), "cv": cv.as_dict(),
                  "caveats": list(caveats)}, config.out)
     if config.trace_out:
         trace = report.trace
@@ -327,7 +317,7 @@ def _cmd_estimate(config):
     if config.grid_points < 1:
         raise ValueError(f"--grid-points must be positive, got {config.grid_points}")
     data = load_csv(config.input)
-    cv, fitted = _select_and_fit(data, config)
+    cv, fitted = select_and_fit(data, config.cv_grid, config.floor, radius=config.radius)
     axes = [np.linspace(0.0, 1.0, config.grid_points)] * data.m
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, data.m)
     values = fitted.predict(mesh)
@@ -342,7 +332,8 @@ def _cmd_estimate(config):
         write_dataset_csv(data, config.data_out)
     _write_json({"schema_version": REPORT_SCHEMA_VERSION, "command": "estimate",
                  "n": data.n, "m": data.m, "sigma_hat": fitted.sigma_hat,
-                 "chosen_radius": fitted.lattice.radius, "cv": cv, "grid_out": out})
+                 "chosen_radius": fitted.lattice.radius,
+                 "cv": None if cv is None else cv.as_dict(), "grid_out": out})
     return 0
 
 

@@ -384,11 +384,9 @@ def decide(regression_fit, null, alpha):
     and the supremum statistic, then compares against the Brownian
     supremum quantile and reports the matching p-value.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    q_alpha = brownian_sup_quantile(alpha)
     trace = transform(regression_fit, null)
     t_stat = statistic(trace, regression_fit)
-    q_alpha = brownian_sup_quantile(alpha)
     return TestReport(
         statistic=t_stat,
         p_value=brownian_sup_tail(t_stat),

@@ -20,12 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bandwidth import cv_select
+from .bandwidth import select_and_fit
 from .errors import IndirgofError
-from .estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
+from .estimation import DEFAULT_DENSITY_FLOOR, Dataset
 from .khmaladze import decide
 from .nulls import gaussian_null
-from .spectral import enumerate_lattice
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -254,18 +253,14 @@ class PowerTable:
 
 def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
                    floor=DEFAULT_DENSITY_FLOOR):
-    """One Monte-Carlo repetition: generate, cross-validate, fit, decide.
+    """One Monte-Carlo repetition: generate, ``select_and_fit``, then decide.
 
     ``seed_key`` is the (master seed, cell index, rep index) triple that
     pins the RNG stream of this repetition.
     """
-    rng = np.random.default_rng(list(seed_key))
-    data = generate(model, n, rng)
-    report = cv_select(data, cv_radii, floor)
-    lattice = enumerate_lattice(data.m, report.chosen)
-    fitted = fit(data, lattice, floor)
-    outcome = decide(fitted, gaussian_null(), alpha)
-    return bool(outcome.reject)
+    data = generate(model, n, np.random.default_rng(list(seed_key)))
+    _, fitted = select_and_fit(data, cv_radii, floor)
+    return bool(decide(fitted, gaussian_null(), alpha).reject)
 
 
 def _loaded_openblas():

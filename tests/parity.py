@@ -1,7 +1,8 @@
 """Fixed case grid of the full pipeline and its recorded outcome.
 
-Every case draws a paper-model dataset, selects the radius by
-cross-validation on the default grid, fits and decides under both nulls.
+Every case draws a paper-model dataset, fits it at the radius that
+cross-validation chooses on the default grid (``select_and_fit``) and
+decides under both nulls on that one fit.
 ``tests/test_parity.py`` recomputes the grid and compares it with
 ``parity_record.json``: a change that moves a radius, a decision or a
 continuous value shows up there.  To record a deliberate move, regenerate
@@ -16,12 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from indirgof.bandwidth import cv_select
-from indirgof.estimation import fit
+from indirgof.bandwidth import select_and_fit
 from indirgof.khmaladze import decide
 from indirgof.nulls import gaussian_null, student_t_null
 from indirgof.simulation import COVARIATE_LAWS, generate, paper_model
-from indirgof.spectral import enumerate_lattice
 
 RECORD = Path(__file__).resolve().parent / "parity_record.json"
 ERRORS = ("normal", "laplace", "student-t")
@@ -38,8 +37,7 @@ def cases():
 def run_case(error, design, n, seed):
     """One case's outcome, with every float as ``float.hex``."""
     data = generate(paper_model(error, design), n, np.random.default_rng(seed))
-    cv = cv_select(data)
-    fitted = fit(data, enumerate_lattice(data.m, cv.chosen))
+    cv, fitted = select_and_fit(data)
     tests = {}
     for null in (gaussian_null(), student_t_null()):
         report = decide(fitted, null, ALPHA)

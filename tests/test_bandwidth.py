@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from indirgof.bandwidth import cv_select, default_radius_grid, loo_score
+from indirgof.bandwidth import cv_select, default_radius_grid, loo_score, select_and_fit
 from indirgof.errors import InsufficientDataError, LatticeCapError
-from indirgof.estimation import DEFAULT_DENSITY_FLOOR, Dataset
+from indirgof.estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
 from indirgof.simulation import generate, paper_model
 from indirgof.spectral import enumerate_lattice, weight_matrix
 
@@ -217,6 +217,55 @@ def test_loo_score_rejects_bad_density_floor(floor):
     rng = np.random.default_rng(31)
     with pytest.raises(ValueError, match="density floor must be positive"):
         loo_score(_uniform_data(rng, 20), enumerate_lattice(1, 2.0), floor=floor)
+
+
+# on this design a floor of 0.5 is active, so a floor that is not passed on
+# moves the fit
+_ACTIVE_FLOOR = 0.5
+
+
+def _nontrivial_data():
+    return generate(paper_model("normal", "nontrivial"), 300, np.random.default_rng(0))
+
+
+def _assert_same_fit(fitted, expected):
+    assert fitted.lattice.radius == expected.lattice.radius
+    assert fitted.coeffs.tobytes() == expected.coeffs.tobytes()
+    assert fitted.residuals.tobytes() == expected.residuals.tobytes()
+    assert fitted.sigma_hat.hex() == expected.sigma_hat.hex()
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_select_and_fit_at_a_fixed_radius_skips_cv(radius):
+    data = _nontrivial_data()
+    # a fixed radius leaves the candidate grid unread
+    report, fitted = select_and_fit(data, [7.0], _ACTIVE_FLOOR, radius=radius)
+    assert report is None
+    _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, radius), _ACTIVE_FLOOR))
+    assert fitted.sigma_hat != fit(data, fitted.lattice).sigma_hat
+
+
+@pytest.mark.parametrize("radii", [None, [3.0, 1.0, 2.0]])
+def test_select_and_fit_fits_at_the_cv_radius(radii):
+    data = _nontrivial_data()
+    report, fitted = select_and_fit(data, radii, _ACTIVE_FLOOR)
+    assert report == cv_select(data, radii, _ACTIVE_FLOOR)
+    assert report != cv_select(data, radii)
+    _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, report.chosen),
+                                 _ACTIVE_FLOOR))
+
+
+@pytest.mark.parametrize("floor", _BAD_FLOORS)
+def test_select_and_fit_rejects_bad_density_floor(floor):
+    rng = np.random.default_rng(31)
+    with pytest.raises(ValueError, match="density floor must be positive"):
+        select_and_fit(_uniform_data(rng, 20), [1.0, 2.0, 3.0], floor)
+
+
+def test_select_and_fit_rejects_an_empty_grid():
+    rng = np.random.default_rng(23)
+    with pytest.raises(ValueError, match="empty"):
+        select_and_fit(_uniform_data(rng, 20), [])
 
 
 def test_radius_over_lattice_cap_rejected():

@@ -19,13 +19,12 @@ from indirgof.cli import (
     run,
     write_dataset_csv,
 )
-from indirgof.bandwidth import cv_select, default_radius_grid
+from indirgof.bandwidth import default_radius_grid, select_and_fit
 from indirgof.errors import DataFormatError, InsufficientDataError
-from indirgof.estimation import Dataset, fit
+from indirgof.estimation import Dataset
 from indirgof.khmaladze import decide
 from indirgof.nulls import get_null
 from indirgof.simulation import generate, paper_model, poisson_count_image
-from indirgof.spectral import enumerate_lattice
 
 
 class TestAnscombe:
@@ -538,6 +537,23 @@ def test_config_file_keys_load_for_every_command(tmp_path, command):
     assert (config.null_name, config.alpha, config.seed) == ("student-t", 0.1, 7)
 
 
+def test_radius_config_key_leaves_test_cross_validating(tmp_path):
+    # only estimate has --radius; a shared config file's radius once made
+    # test skip cross-validation and report radius 1 with "cv": null
+    src = tmp_path / "d.csv"
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 300,
+                               np.random.default_rng(0)), src)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("radius = 1\n")
+    plain, with_cfg = tmp_path / "plain.json", tmp_path / "cfg.json"
+    assert main(["test", str(src), "--out", str(plain)]) == 0
+    assert main(["test", str(src), "--config", str(cfg), "--out", str(with_cfg)]) == 0
+    expected, report = (json.loads(p.read_text()) for p in (plain, with_cfg))
+    assert expected["chosen_radius"] == 2.0
+    assert (report["chosen_radius"], report["cv"]) == (expected["chosen_radius"],
+                                                       expected["cv"])
+
+
 @pytest.mark.parametrize("command", ["test", "estimate"])
 def test_empty_cv_grid_is_refused(tmp_path, capsys, command):
     src = tmp_path / "d.csv"
@@ -564,8 +580,7 @@ def test_exports_parse_back_bit_for_bit(tmp_path):
                  "--residuals-out", str(res_out)]) == 0
 
     data = load_csv(src)
-    radius = cv_select(data, default_radius_grid(data.n, data.m)).chosen
-    fitted = fit(data, enumerate_lattice(data.m, radius))
+    _, fitted = select_and_fit(data, default_radius_grid(data.n, data.m))
     null = get_null("student-t")
     trace = decide(fitted, null, 0.05).trace
     quantiles = null.quantile((np.arange(1, data.n + 1) - 0.5) / data.n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from indirgof.bandwidth import cv_select, default_radius_grid
+from indirgof.bandwidth import default_radius_grid, select_and_fit
 from indirgof.errors import DegenerateFitError
 from indirgof.estimation import (
     RegressionFit,
@@ -147,9 +147,8 @@ class TestFit:
         # squared (1e155); the test is scale-free, so the answer must not move
         data = generate(paper_model("normal", "uniform"), 300, np.random.default_rng(0))
         scaled = Dataset(x=data.x, y=data.y * scale)
-        cv = cv_select(scaled)
+        cv, f = select_and_fit(scaled)
         assert cv.chosen == 2.0
-        f = fit(scaled, enumerate_lattice(2, cv.chosen))
         assert f.sigma_hat == pytest.approx(fit(data, f.lattice).sigma_hat * scale,
                                             rel=1e-12)
         stat = decide(f, gaussian_null(), 0.05).statistic
@@ -265,7 +264,6 @@ def test_fit_improves_with_sample_size():
     for n in (200, 2000):
         rng = np.random.default_rng(77)
         data = generate(model, n, rng)
-        report = cv_select(data, default_radius_grid(n, 2))
-        f = fit(data, enumerate_lattice(2, report.chosen))
+        _, f = select_and_fit(data, default_radius_grid(n, 2))
         errs[n] = float(np.max(np.abs(f.predict(pts) - truth)))
     assert errs[2000] < errs[200]

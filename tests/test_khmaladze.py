@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_trapezoid
 
-from indirgof.bandwidth import cv_select, default_radius_grid
+from indirgof.bandwidth import default_radius_grid, select_and_fit
 from indirgof.errors import InsufficientDataError, SingularMatrixError
 from indirgof.estimation import Dataset, fit
 from indirgof import khmaladze
@@ -479,11 +479,14 @@ class TestDecide:
         ]
         assert payload["null"] == "gaussian"
 
-    def test_alpha_validated(self):
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, 1.0])
+    def test_alpha_validated(self, alpha, monkeypatch):
         rng = np.random.default_rng(61)
         f = fit(_null_dataset(rng), enumerate_lattice(2, 2))
-        with pytest.raises(ValueError):
-            decide(f, NULL, 1.5)
+        # a bad alpha fails before any transform work
+        monkeypatch.setattr(khmaladze, "transform", None)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got"):
+            decide(f, NULL, alpha)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(62)
@@ -560,8 +563,8 @@ class TestDecide:
         # the Gaussian density underflows to zero
         data = generate(paper_model("normal"), 2000, np.random.default_rng(0))
         data.y[0] += 400.0
-        radius = cv_select(data, default_radius_grid(data.n, data.m)).chosen
-        report = decide(fit(data, enumerate_lattice(data.m, radius)), NULL, 0.05)
+        _, fitted = select_and_fit(data, default_radius_grid(data.n, data.m))
+        report = decide(fitted, NULL, 0.05)
         assert report.reject
         assert np.isfinite(report.statistic)
 
@@ -569,8 +572,8 @@ class TestDecide:
         # the statistic is far past the point where the tail underflows
         data = generate(paper_model("normal"), 2000, np.random.default_rng(0))
         data.y[0] += 400.0
-        radius = cv_select(data, default_radius_grid(data.n, data.m)).chosen
-        report = decide(fit(data, enumerate_lattice(data.m, radius)), NULL, 0.05)
+        _, fitted = select_and_fit(data, default_radius_grid(data.n, data.m))
+        report = decide(fitted, NULL, 0.05)
         assert report.statistic == pytest.approx(112.9, abs=0.05)
         assert report.p_value == 0.0
         assert np.isfinite(report.log10_p_value)
