@@ -15,8 +15,6 @@ from .estimation import (
     Dataset,
     DensityEstimate,
     RegressionFit,
-    estimate_coeffs,
-    estimate_density,
     fit,
 )
 from .khmaladze import (
@@ -27,7 +25,6 @@ from .khmaladze import (
     brownian_sup_tail,
     build_scan,
     decide,
-    gamma_quadrature,
     statistic,
     transform,
     transform_standardized,
@@ -50,10 +47,6 @@ from .simulation import (
     power_study,
     sample_g1,
 )
-from .spectral import (
-    FreqLattice,
-    enumerate_lattice,
-    weight_matrix,
-)
+from .spectral import FreqLattice, enumerate_lattice
 
 __version__ = "0.1.0"

@@ -35,15 +35,12 @@ def anscombe(y):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ValueError("the variance-stabilizing transform needs y >= 0")
-    out = 2.0 * np.sqrt(y + 0.375)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * np.sqrt(y + 0.375)
 
 
 def anscombe_inverse(z):
     """Algebraic inverse ``(z/2)**2 - 3/8`` for reconstruction display."""
-    z = np.asarray(z, dtype=float)
-    out = (z / 2.0) ** 2 - 0.375
-    return float(out) if out.ndim == 0 else out
+    return (np.asarray(z, dtype=float) / 2.0) ** 2 - 0.375
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ W(x - x') = 1 + Z(x).Z(x').  The covariate density estimate
 
     g_hat(x) = 1 + Z(x).mean_j Z(x_j)
 
-is clamped below at a configurable floor because the Dirichlet kernel
+is held at or above a configurable floor because the Dirichlet kernel
 oscillates and the raw estimate can dip to zero or below in small samples.
 With u_j = y_j / g_hat(x_j), the distorted regression surface is
 
@@ -78,7 +78,7 @@ class DensityEstimate:
     ``coeffs`` is the sample mean of the lattice basis over the covariates
     and the estimate is ``1 + basis(x) @ coeffs``; the constant term is
     exactly 1, so the raw estimate integrates to one over the unit cube.
-    Evaluation clamps below at ``floor`` unless asked not to.
+    Evaluation clamps below at ``floor``.
     """
 
     lattice: FreqLattice
@@ -88,16 +88,13 @@ class DensityEstimate:
     def __post_init__(self):
         check_density_floor(self.floor)
 
-    def evaluate(self, x, clamped=True):
-        """Density value(s) at ``x``; shape follows the input points."""
-        x = np.asarray(x, dtype=float)
-        vals = self._at(self.lattice.basis(np.atleast_2d(x)), clamped)
-        return float(vals[0]) if x.ndim == 1 else vals
+    def evaluate(self, x):
+        """Density at the points ``x``, at least ``floor``; one value per row."""
+        return self._at(self.lattice.basis(x))
 
-    def _at(self, z, clamped=True):
-        """Density at the points whose basis rows are ``z``."""
-        vals = 1.0 + z @ self.coeffs
-        return np.maximum(vals, self.floor) if clamped else vals
+    def _at(self, z):
+        """Density, at least ``floor``, at the points whose basis rows are ``z``."""
+        return np.maximum(1.0 + z @ self.coeffs, self.floor)
 
 
 def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
@@ -127,8 +124,8 @@ def estimate_coeffs(data, density, lattice):
 
     Returns ``c`` of length N with ``c[0] = (1/n) sum_j u_j`` and
     ``c[1:] = (1/n) sum_j u_j basis(x_j)``, where ``u_j = y_j / g_hat(x_j)``
-    uses the clamped density so no term divides by a value at or below
-    zero.  In complex form the coefficient of the i-th upper-half index k
+    uses the density with its floor, so no term divides by a value at or
+    below zero.  In complex form the coefficient of the i-th upper-half index k
     has real part ``c[2i + 1] / sqrt(2)`` and imaginary part
     ``-c[2i + 2] / sqrt(2)``; that of -k is its conjugate.
     """
@@ -159,10 +156,8 @@ class RegressionFit:
         return len(self.residuals)
 
     def predict(self, x):
-        """Fitted surface at arbitrary points via the coefficient form."""
-        x = np.asarray(x, dtype=float)
-        vals = self.coeffs[0] + self.lattice.basis(np.atleast_2d(x)) @ self.coeffs[1:]
-        return float(vals[0]) if x.ndim == 1 else vals
+        """Fitted surface at the points ``x``, one value per row."""
+        return self.coeffs[0] + self.lattice.basis(x) @ self.coeffs[1:]
 
     def ecdf(self, t):
         """Empirical distribution of the standardized residuals at ``t``."""

@@ -167,7 +167,6 @@ class ProcessTrace:
     eval_points: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     t0: float
-    n: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -198,30 +197,22 @@ def transform_standardized(z, null):
     g_at_z = np.stack([np.interp(z_lo, grid, g0[:, c]) for c in range(3)], axis=-1)
     pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at_z, h))])
     pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
-    total_h = pref_h[-1]
-    root_n = math.sqrt(n)
 
-    def evaluate(ts, g_at_ts, side):
-        idx = np.searchsorted(z, ts, side=side)
-        suffix = total_h[None, :] - pref_h[idx]
-        comp = (pref_dot[idx] + np.einsum("ij,ij->i", g_at_ts, suffix)) / n
-        return root_n * (idx / n - comp)
-
+    # The grid, then each jump (a residual at or below t0, where G0 is known)
+    # twice: its left limit and its value.  Plain ``unique`` keeps the sign
+    # of a tied zero, which ``return_index`` may flip.
     jumps = np.unique(z[z <= t0])
+    below = np.searchsorted(z, jumps)
+    upto = np.searchsorted(z, jumps, side="right")
+    counts = np.concatenate([np.searchsorted(z, grid, side="right"), below, upto])
+    g_pts = np.concatenate([g0, g_at_z[below], g_at_z[below]])
+    suffix = pref_h[-1] - pref_h[counts]
+    comp = (pref_dot[counts] + np.einsum("ij,ij->i", g_pts, suffix)) / n
+    vals = math.sqrt(n) * (counts / n - comp)
     pts = np.concatenate([grid, jumps, jumps])
-    # Each jump is a residual at or below t0, so G0 there is already known.
-    g_jumps = g_at_z[np.searchsorted(z, jumps)]
-    vals = np.concatenate([
-        evaluate(grid, g0, "right"),
-        evaluate(jumps, g_jumps, "left"),
-        evaluate(jumps, g_jumps, "right"),
-    ])
     # Stable order: ascending t, left limits before values at the point.
-    is_left = np.concatenate([
-        np.zeros(len(grid)), np.zeros(len(jumps)) - 1.0, np.zeros(len(jumps)),
-    ])
-    order = np.lexsort((is_left, pts))
-    return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0, n=n)
+    order = np.lexsort((np.repeat([0, -1, 0], [len(grid), len(jumps), len(jumps)]), pts))
+    return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0)
 
 
 def transform(regression_fit, null):

@@ -56,10 +56,6 @@ class NullModel:
     quantile: Callable = field(repr=False)
     tail_matrix: Callable = field(repr=False)
 
-    def sample(self, rng, size):
-        """Draw by quantile transform of uniforms."""
-        return self.quantile(rng.random(size))
-
 
 def _norm_pdf(t):
     t = np.asarray(t, dtype=float)

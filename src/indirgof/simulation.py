@@ -3,13 +3,12 @@
 The study's regression surface is fixed: the bivariate trigonometric
 series :data:`THETA_COEFFS`, distorted by the product of two truncated,
 normalized Laplace densities (:func:`laplace_psi`, mean 1/2 and scale
-1/10 per axis) or left undistorted (:func:`identity_psi`).  Data
-generation uses the analytic Fourier product of distortion and
-regression coefficients over the 13-point support of the regression, so
-no quadrature sits in the hot path.  Covariates are either uniform on
-the unit square or drawn componentwise from the non-trivial cosine
-density via inverse-cdf sampling; errors come from the named laws of
-:data:`ERROR_LAWS`.
+1/10 per axis).  Data generation uses the analytic Fourier product of
+distortion and regression coefficients over the 13-point support of the
+regression, so no quadrature sits in the hot path.  Covariates are either
+uniform on the unit square or drawn componentwise from the non-trivial
+cosine density via inverse-cdf sampling; errors come from the named laws
+of :data:`ERROR_LAWS`.
 """
 
 import ctypes
@@ -128,11 +127,6 @@ def laplace_psi(k):
     return np.prod(factor, axis=-1)
 
 
-def identity_psi(k):
-    """No distortion: the direct-regression special case."""
-    return np.ones(np.shape(k)[:-1])
-
-
 #: Fourier coefficients of the simulation-study regression function: a
 #: constant plus six cosine terms, all real and even in k.
 THETA_COEFFS = {
@@ -173,13 +167,10 @@ class SyntheticModel:
 
 
 def ktheta_true(model, x):
-    """Distorted regression surface via the coefficient product form."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    """Distorted regression surface at the points ``x``, one value per row."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     phases = TWO_PI * (pts @ _SUPPORT.T.astype(float))
-    vals = np.cos(phases) @ (model.psi_coeffs(_SUPPORT) * _THETA)
-    return float(vals[0]) if single else vals
+    return np.cos(phases) @ (model.psi_coeffs(_SUPPORT) * _THETA)
 
 
 def paper_model(error="normal", design="uniform"):
@@ -197,20 +188,6 @@ def generate(model, n, rng):
         x = np.column_stack([sample_g1(rng, n) for _ in range(_SUPPORT.shape[1])])
     y = ktheta_true(model, x) + ERROR_LAWS[model.error](rng, n)
     return Dataset(x=x, y=y)
-
-
-def poisson_count_image(model, size, rng, scale=20.0):
-    """Synthetic photon-count image of the distorted surface.
-
-    Pixel (i, j) (1-based) observes a Poisson count with mean
-    ``scale * surface((i-0.5)/size, (j-0.5)/size)``, clipped below at a
-    tiny positive mean so every pixel has a valid Poisson rate.
-    """
-    mids = (np.arange(size) + 0.5) / size
-    xi, xj = np.meshgrid(mids, mids, indexing="ij")
-    pts = np.column_stack([xi.ravel(), xj.ravel()])
-    mu = np.maximum(scale * ktheta_true(model, pts), 1e-3)
-    return rng.poisson(mu).reshape(size, size)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +220,6 @@ class PowerTable:
         rows = [{**asdict(r), "rate": None if math.isnan(r.rate) else r.rate}
                 for r in self.rows]
         return {"alpha": self.alpha, "rows": rows}
-
-    def rate_for(self, error, n):
-        for r in self.rows:
-            if r.error == error and r.n == n:
-                return r.rate
-        raise KeyError(f"no row for error={error!r}, n={n}")
 
 
 def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
@@ -329,6 +300,9 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         Override for the candidate radius grid (default: size-based).
     workers : int
         Process count for parallel repetitions; 1 runs them serially.
+        Each pool start costs about 0.1 s (a worker that sets OpenBLAS to
+        one thread restarts its thread server, whose idle thread spins that
+        long), so ``workers > 1`` pays off for studies well above that.
 
     Returns
     -------

@@ -6,7 +6,9 @@ with adaptive quadrature, the Brownian supremum law comes from the
 reflection (inclusion-exclusion) series, leave-one-out predictions
 come from literal refits on reduced datasets, leave-one-out scores from
 the full n x n weight matrix one radius at a time, and the smoothing
-weight function is a plain cosine sum over the lattice.
+weight function is a plain cosine sum over the lattice.  The study model's
+undistorted surface, a photon-count image drawn from it and a lookup in a
+power table round out the fixtures.
 """
 
 import math
@@ -22,6 +24,7 @@ from indirgof.estimation import (
     estimate_density,
 )
 from indirgof.nulls import gamma_closed_form_gaussian, score_h
+from indirgof.simulation import ktheta_true
 from indirgof.spectral import weight_matrix
 
 
@@ -174,3 +177,27 @@ def truncated_laplace_pdf(w, scale=0.1):
     w = np.mod(np.asarray(w, dtype=float), 1.0)
     kept = 1.0 - math.exp(-0.5 / scale)
     return np.exp(-np.abs(w - 0.5) / scale) / (2.0 * scale) / kept
+
+
+def identity_psi(k):
+    """No distortion: the direct-regression special case of the study model."""
+    return np.ones(np.shape(k)[:-1])
+
+
+def poisson_count_image(model, size, rng, scale=20.0):
+    """Synthetic photon-count image of the distorted surface.
+
+    Pixel (i, j) (1-based) observes a Poisson count with mean
+    ``scale * surface((i-0.5)/size, (j-0.5)/size)``, clipped below at a
+    tiny positive mean so every pixel has a valid Poisson rate.
+    """
+    mids = (np.arange(size) + 0.5) / size
+    xi, xj = np.meshgrid(mids, mids, indexing="ij")
+    pts = np.column_stack([xi.ravel(), xj.ravel()])
+    mu = np.maximum(scale * ktheta_true(model, pts), 1e-3)
+    return rng.poisson(mu).reshape(size, size)
+
+
+def rate_for(table, error, n):
+    """Rejection rate of the ``power_study`` cell with this error law and n."""
+    return next(r.rate for r in table.rows if r.error == error and r.n == n)

@@ -18,7 +18,7 @@ from indirgof.khmaladze import brownian_sup_quantile, gamma_quadrature
 from indirgof.nulls import gamma_closed_form_gaussian, gaussian_null
 from indirgof.simulation import paper_model, power_study
 
-from helpers import oracle_points_for, xi_oracle, xi_production_at
+from helpers import oracle_points_for, rate_for, xi_oracle, xi_production_at
 
 MASTER_SEED = 20240601
 WORKERS = 4
@@ -146,8 +146,8 @@ def test_criterion_6_power_at_desk_scale(announce, power_table_300):
 
 
 def test_criterion_7_power_ordering(announce, power_table_500):
-    laplace = power_table_500.rate_for("laplace", 500)
-    student = power_table_500.rate_for("student-t", 500)
+    laplace = rate_for(power_table_500, "laplace", 500)
+    student = rate_for(power_table_500, "student-t", 500)
     ok = laplace > student
     announce(7, ok,
              f"n=500: rejection(Laplace)={laplace:.3f} > "

@@ -24,7 +24,9 @@ from indirgof.errors import DataFormatError, InsufficientDataError
 from indirgof.estimation import Dataset
 from indirgof.khmaladze import decide
 from indirgof.nulls import get_null
-from indirgof.simulation import generate, paper_model, poisson_count_image
+from indirgof.simulation import generate, paper_model
+
+from helpers import poisson_count_image
 
 
 class TestAnscombe:

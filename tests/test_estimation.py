@@ -41,12 +41,17 @@ class TestDataset:
             Dataset(x=[[0.5], [0.6]], y=[1.0])
 
 
+def _raw(dens, x):
+    """The density estimate at ``x`` before the clamp."""
+    return 1.0 + dens.lattice.basis(x) @ dens.coeffs
+
+
 class TestDensityEstimate:
     def test_single_point_at_origin(self):
         data = Dataset(x=[[0.0]], y=[7.0])
         lat = enumerate_lattice(1, 1)
         dens = estimate_density(data, lat)
-        assert dens.evaluate(np.array([0.0]), clamped=False) == pytest.approx(3.0)
+        assert _raw(dens, np.array([[0.0]])) == pytest.approx([3.0])
 
     def test_zero_coefficient_exact_and_unit_integral(self):
         rng = np.random.default_rng(11)
@@ -60,14 +65,14 @@ class TestDensityEstimate:
         grid = (np.arange(12) + 0.5) / 12
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        assert np.mean(dens.evaluate(pts, clamped=False)) == pytest.approx(1.0, abs=1e-10)
+        assert np.mean(_raw(dens, pts)) == pytest.approx(1.0, abs=1e-10)
 
     def test_clamp_applies_floor(self):
         data = Dataset(x=[[0.0], [0.01]], y=[0.0, 0.0])
         lat = enumerate_lattice(1, 3)
         dens = estimate_density(data, lat, floor=0.05)
         # far from both points the raw Dirichlet sum is negative
-        raw = dens.evaluate(np.array([[0.5]]), clamped=False)[0]
+        raw = _raw(dens, np.array([[0.5]]))[0]
         assert raw < 0.05
         assert dens.evaluate(np.array([[0.5]]))[0] == pytest.approx(0.05)
 
@@ -85,7 +90,7 @@ class TestDensityEstimate:
         grid = np.linspace(0.0, 1.0, 41)
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        assert np.max(np.abs(dens.evaluate(pts, clamped=False) - 1.0)) < 0.15
+        assert np.max(np.abs(_raw(dens, pts) - 1.0)) < 0.15
 
 
 def _complex_coeffs(c):
@@ -100,7 +105,7 @@ class TestEstimateCoeffs:
         lat = enumerate_lattice(1, 1)
         dens = estimate_density(data, lat)
         coeffs = estimate_coeffs(data, dens, lat)
-        u = 4.2 / dens.evaluate(np.array([0.0]))
+        u = 4.2 / dens.evaluate(np.array([[0.0]]))[0]
         # basis(0) = (sqrt(2), 0), so the complex rhat is u at k = -1, 0, 1
         assert_allclose(coeffs, [u, np.sqrt(2.0) * u, 0.0], atol=1e-12)
 
@@ -217,6 +222,16 @@ class TestFit:
         scale = np.maximum(np.abs(complex_vals.real), 1.0)
         assert np.max(np.abs(complex_vals.imag) / scale) < 1e-10
         assert_allclose(f.predict(pts), complex_vals.real, atol=1e-10)
+
+    def test_single_point_gives_one_value_per_row(self):
+        # a 1-D point is one row: the evaluators return shape (1,), never a float
+        rng = np.random.default_rng(19)
+        data = Dataset(x=rng.random((40, 2)), y=rng.normal(size=40))
+        f = fit(data, enumerate_lattice(2, 2))
+        point = np.array([0.3, 0.6])
+        assert f.predict(point).shape == (1,)
+        assert f.density.evaluate(point).shape == (1,)
+        assert ktheta_true(paper_model("zero"), point).shape == (1,)
 
 
 def _fit_with_standardized(z):

@@ -16,16 +16,14 @@ from indirgof.simulation import (
     g1_cdf,
     g1_density,
     generate,
-    identity_psi,
     ktheta_true,
     laplace_psi,
     paper_model,
-    poisson_count_image,
     power_study,
     sample_g1,
 )
 
-from helpers import truncated_laplace_pdf
+from helpers import identity_psi, poisson_count_image, rate_for, truncated_laplace_pdf
 
 SQRT2 = math.sqrt(2.0)
 
@@ -310,7 +308,7 @@ class TestPowerStudy:
         model = paper_model("laplace", "uniform")
         table = power_study([model], [100, 500], reps=60, alpha=0.05,
                             seed=7, workers=4)
-        assert table.rate_for("laplace", 100) < table.rate_for("laplace", 500)
+        assert rate_for(table, "laplace", 100) < rate_for(table, "laplace", 500)
 
 
 def test_unknown_covariate_law_rejected():
