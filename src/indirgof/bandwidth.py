@@ -8,8 +8,8 @@ pred_j = sum_{i != j} y_i W_ij / max(rs_i - W_ij, floor (n - 1)).
 
 All radii are scored in one blocked pass over nested shells: the largest
 lattice's real basis Z (:meth:`FreqLattice.basis`) is held as one
-C-contiguous (N - 1, n) array Z^T with its cos/sin pairs sorted by norm,
-so each smaller lattice is a row prefix.  W_ij = 1 + Z_i.Z_j and rs costs
+C-contiguous (N - 1, n) array Z^T; its indices are sorted by norm, so each
+smaller lattice is a row prefix.  W_ij = 1 + Z_i.Z_j and rs costs
 O(nN).  Each block of 32 rows adds one shell per radius by one full-width
 product and sums its held-out terms while in cache, in O(32 n) working
 memory with no n x n matrix; W_jj is the lattice size N_r, so the i = j
@@ -128,11 +128,10 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
     lattice = enumerate_lattice(data.m, max(radii))
-    norms = np.sum(lattice.indices[lattice.zero_position + 1:] ** 2, axis=1)
-    order = np.argsort(norms, kind="stable")
-    counts = np.searchsorted(norms[order], np.square(radii), side="right")
+    norms = np.sum(lattice.indices**2, axis=1)
+    counts = np.searchsorted(norms, np.square(radii), side="right")
     prefixes, which = np.unique(2 * counts, return_inverse=True)
-    zt = lattice.basis(data.x).T.reshape(-1, 2, data.n)[order].reshape(-1, data.n)
+    zt = np.ascontiguousarray(lattice.basis(data.x).T)
     scaled, scores = _prefix_scores(data, zt, prefixes.tolist(), floor)
     scored = tuple((r, float(scores[k])) for r, k in zip(radii, which))
     chosen = min(zip(radii, which), key=lambda rk: (scaled[rk[1]], rk[0]))[0]

@@ -77,10 +77,10 @@ def _write_json(payload, path=None):
 def load_csv(path):
     """Read a dataset from a CSV file with header ``x1,...,xm,y``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
+        lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     m = len(header) - 1
     if m < 1 or header != _covariate_names(m) + ["y"]:
         raise DataFormatError(
@@ -89,11 +89,11 @@ def load_csv(path):
     if len(lines) == 1:
         raise InsufficientDataError(f"{path}: no data rows")
     xs, ys = [], []
-    for row_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != m + 1:
             raise DataFormatError(
-                f"{path}: row {row_no} has {len(cells)} cells, expected {m + 1}"
+                f"{path}: line {line_no} has {len(cells)} cells, expected {m + 1}"
             )
         values = []
         try:
@@ -101,12 +101,12 @@ def load_csv(path):
                 values.append(float(cell))
         except ValueError:
             raise DataFormatError(
-                f"{path}: row {row_no} contains non-numeric cell {cell.strip()!r}"
+                f"{path}: line {line_no} contains non-numeric cell {cell.strip()!r}"
             ) from None
         if any(not 0.0 <= c <= 1.0 for c in values[:m]):
-            raise DataFormatError(f"{path}: row {row_no} has a coordinate outside [0, 1]")
+            raise DataFormatError(f"{path}: line {line_no} has a coordinate outside [0, 1]")
         if not math.isfinite(values[m]):
-            raise DataFormatError(f"{path}: row {row_no} has a non-finite response")
+            raise DataFormatError(f"{path}: line {line_no} has a non-finite response")
         xs.append(values[:m])
         ys.append(values[m])
     return Dataset(x=np.array(xs), y=np.array(ys))
@@ -460,9 +460,12 @@ def build_config(args):
         keys = _config_keys()
         for key, text in read_config_file(args.config).items():
             if key not in keys:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
             name, cast = keys[key]
-            merged[name] = cast(text)
+            try:
+                merged[name] = cast(text)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None:
             merged[key] = value

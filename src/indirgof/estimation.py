@@ -125,7 +125,7 @@ def estimate_coeffs(data, density, lattice):
     Returns ``c`` of length N with ``c[0] = (1/n) sum_j u_j`` and
     ``c[1:] = (1/n) sum_j u_j basis(x_j)``, where ``u_j = y_j / g_hat(x_j)``
     uses the density with its floor, so no term divides by a value at or
-    below zero.  In complex form the coefficient of the i-th upper-half index k
+    below zero.  In complex form the coefficient of the i-th stored index k
     has real part ``c[2i + 1] / sqrt(2)`` and imaginary part
     ``-c[2i + 2] / sqrt(2)``; that of -k is its conjugate.
     """

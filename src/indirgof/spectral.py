@@ -1,16 +1,15 @@
 """Frequency lattices and the pairwise spectral-cutoff weight matrix.
 
-A frequency index is a length-m integer vector k.  A :class:`FreqLattice`
-collects every index inside a cutoff radius.  The associated smoothing
-weight function
+A frequency index is a length-m integer vector k.  The lattice of a cutoff
+radius, every k with |k| <= radius, is closed under negation, so every real
+series on it is the constant plus a combination of the real basis
+Z(x) = sqrt(2) (cos, sin)(2*pi*k.x) over one index of each pair +-k; a
+:class:`FreqLattice` stores those.  The associated smoothing weight function
 
     W(x) = sum_{|k| <= radius}  cos(2*pi*k.x)
 
 is the multivariate Dirichlet kernel of the sharp spectral cutoff: every
-index inside the radius carries weight 1.  Because the lattice is closed
-under negation, every real series on it is the constant plus a
-combination of the real basis Z(x) = sqrt(2) (cos, sin)(2*pi*k.x) over
-its upper half; in particular W(x - x') = 1 + Z(x).Z(x').
+index inside the radius carries weight 1, and W(x - x') = 1 + Z(x).Z(x').
 """
 
 from dataclasses import dataclass
@@ -32,51 +31,34 @@ class FreqLattice:
 
     Attributes
     ----------
-    m : int
-        Dimension of the frequency vectors.
     radius : float
         Cutoff radius in index units; indices satisfy ``norm(k) <= radius``.
-    indices : ndarray of shape (N, m), int64
-        All lattice points, in lexicographic order.  Closed under
-        negation, so ``indices[i] == -indices[N - 1 - i]`` and the middle
-        row is the zero vector.
+    indices : ndarray of shape (H, m), int64
+        The lexicographically later member of each pair +-k with
+        0 < |k| <= radius, sorted stably by |k|^2, so the lattice of any
+        smaller radius is a row prefix.
     """
 
-    m: int
     radius: float
     indices: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.indices)
-        if n % 2 != 1:
-            raise ValueError("lattice must contain an odd number of indices")
-        mid = (n - 1) // 2
-        if np.any(self.indices[mid] != 0):
-            raise ValueError("lattice must contain the zero frequency at its centre")
-        if np.any(self.indices != -self.indices[::-1]):
-            raise ValueError("lattice must be closed under negation")
-
     @property
     def size(self):
-        return len(self.indices)
-
-    @property
-    def zero_position(self):
-        """Row of the zero frequency (centre of the lexicographic order)."""
-        return (len(self.indices) - 1) // 2
+        """Number N = 2 H + 1 of indices in the full lattice, zero included."""
+        return 2 * len(self.indices) + 1
 
     def phases(self, x):
-        """2*pi*k.x for every lattice index, shape ``(P, N)``."""
+        """2*pi*k.x for every stored index, shape ``(P, H)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return TWO_PI * (x @ self.indices.T.astype(float))
 
     def basis(self, x):
-        """Real Fourier basis of the upper half, shape ``(P, N - 1)``.
+        """Real Fourier basis of the lattice, shape ``(P, N - 1)``.
 
         Columns ``2i`` and ``2i + 1`` hold sqrt(2) cos and sqrt(2) sin of the
-        phase of the i-th index after the zero frequency.
+        phase of the i-th stored index.
         """
-        ph = self.phases(x)[:, self.zero_position + 1:]
+        ph = self.phases(x)
         z = np.empty((len(ph), 2 * ph.shape[1]))
         np.cos(ph, out=z[:, 0::2])
         np.sin(ph, out=z[:, 1::2])
@@ -85,7 +67,7 @@ class FreqLattice:
 
 
 def enumerate_lattice(m, radius):
-    """Enumerate all integer frequency vectors with Euclidean norm <= radius.
+    """Enumerate the integer frequency vectors with Euclidean norm <= radius.
 
     Parameters
     ----------
@@ -98,7 +80,7 @@ def enumerate_lattice(m, radius):
     Returns
     -------
     FreqLattice
-        Indices in lexicographic order, closed under negation.
+        One index of each pair +-k, sorted by norm.
     """
     if m < 1:
         raise ValueError(f"dimension must be at least 1, got {m}")
@@ -113,23 +95,22 @@ def enumerate_lattice(m, radius):
         )
     axes = [np.arange(-half, half + 1, dtype=np.int64)] * m
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    # Integer norm comparison avoids any floating-point boundary fuzz.
-    inside = np.sum(grid * grid, axis=1) <= radius * radius
-    indices = np.ascontiguousarray(grid[inside])
-    return FreqLattice(m=m, radius=float(radius), indices=indices)
+    # The scan is lexicographic, so its later half holds one index of each
+    # pair.  Integer norm comparison avoids any floating-point boundary fuzz.
+    upper = grid[(total + 1) // 2:]
+    norms = np.sum(upper * upper, axis=1)
+    inside = norms <= radius * radius
+    indices = upper[inside][np.argsort(norms[inside], kind="stable")]
+    return FreqLattice(radius=float(radius), indices=indices)
 
 
 def weight_matrix(lattice, x):
-    """Pairwise smoothing weights ``W(x_i - x_j)`` as an (n, n) matrix.
+    """Pairwise smoothing weights ``W(x_i - x_j) = 1 + Z_i.Z_j`` as an (n, n) matrix.
 
-    Uses cos(a - b) = cos a cos b + sin a sin b so the matrix is built
-    from two rank-N products instead of n^2 lattice sums.  NumPy evaluates
-    a product ``A @ A.T`` as a symmetric rank-N update and mirrors one
-    triangle, so the result is exactly symmetric without a further pass.
+    NumPy evaluates a product ``Z @ Z.T`` as a symmetric rank-(N - 1) update
+    and mirrors one triangle, so the result is exactly symmetric.
     """
-    ph = lattice.phases(x)
-    cos_ph = np.cos(ph)
-    sin_ph = np.sin(ph)
-    mat = cos_ph @ cos_ph.T
-    mat += sin_ph @ sin_ph.T
+    z = lattice.basis(x)
+    mat = z @ z.T
+    mat += 1.0
     return mat

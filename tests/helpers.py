@@ -6,9 +6,10 @@ with adaptive quadrature, the Brownian supremum law comes from the
 reflection (inclusion-exclusion) series, leave-one-out predictions
 come from literal refits on reduced datasets, leave-one-out scores from
 the full n x n weight matrix one radius at a time, and the smoothing
-weight function is a plain cosine sum over the lattice.  The study model's
-undistorted surface, a photon-count image drawn from it and a lookup in a
-power table round out the fixtures.
+weight function is a plain cosine sum over the full lattice, whose pairs
++-k are built here from the one index of each that the lattice stores.  The
+study model's undistorted surface, a photon-count image drawn from it and a
+lookup in a power table round out the fixtures.
 """
 
 import math
@@ -140,8 +141,20 @@ def refit_loo_prediction(data, lattice, floor, j):
     reduced = Dataset(x=data.x[keep], y=data.y[keep])
     density = estimate_density(reduced, lattice, floor)
     c = estimate_coeffs(reduced, density, lattice)
-    ph = lattice.phases(data.x[j][None, :])[0, lattice.zero_position + 1:]
+    ph = lattice.phases(data.x[j][None, :])[0]
     return float(c[0] + np.sqrt(2.0) * (np.cos(ph) @ c[1::2] + np.sin(ph) @ c[2::2]))
+
+
+def full_indices(lattice):
+    """Every index of the lattice: zero, the stored half, then its negation."""
+    half = lattice.indices
+    return np.vstack([np.zeros((1, half.shape[1]), dtype=half.dtype), half, -half])
+
+
+def full_phases(lattice, x):
+    """2*pi*k.x over :func:`full_indices`, shape ``(P, N)``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return 2.0 * np.pi * (x @ full_indices(lattice).T)
 
 
 def smoothing_weight(lattice, x):
@@ -151,14 +164,13 @@ def smoothing_weight(lattice, x):
     array of points of shape ``(P, m)`` (returns shape ``(P,)``).
     """
     x = np.asarray(x, dtype=float)
-    vals = np.cos(lattice.phases(x)).sum(axis=1)
+    vals = np.cos(full_phases(lattice, x)).sum(axis=1)
     return float(vals[0]) if x.ndim == 1 else vals
 
 
 def complex_weight_sum(lattice, x):
     """Complex-exponential evaluation of the smoothing weight function."""
-    ph = lattice.phases(np.atleast_2d(np.asarray(x, dtype=float)))
-    return np.exp(1j * ph).sum(axis=1)
+    return np.exp(1j * full_phases(lattice, x)).sum(axis=1)
 
 
 def brute_lattice_count(m, radius, span):

@@ -71,20 +71,27 @@ class TestCsvIo:
     def test_out_of_range_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,y\n0.5,1.0\n1.5,2.0\n")
-        with pytest.raises(DataFormatError, match="row 3"):
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_csv(path)
+
+    def test_error_names_the_file_line_past_a_blank_line(self, tmp_path):
+        # only non-empty lines were once counted, which named line 4 here
+        path = tmp_path / "gap.csv"
+        path.write_text("x1,y\n0.1,1\n\n0.2,2\n1.5,3\n")
+        with pytest.raises(DataFormatError, match="line 5 has a coordinate outside"):
             load_csv(path)
 
     def test_non_numeric_names_location(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("x1,y\n0.5,1.0\n0.7,oops\n")
-        with pytest.raises(DataFormatError, match="row 3.*oops"):
+        with pytest.raises(DataFormatError, match="line 3.*oops"):
             load_csv(path)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
     def test_non_finite_response_names_row(self, tmp_path, cell):
         path = tmp_path / "inf.csv"
         path.write_text(f"x1,y\n0.5,1.0\n0.2,{cell}\n")
-        with pytest.raises(DataFormatError, match="row 3 has a non-finite response"):
+        with pytest.raises(DataFormatError, match="line 3 has a non-finite response"):
             load_csv(path)
 
     def test_header_must_match(self, tmp_path):
@@ -231,6 +238,19 @@ class TestConfigFile:
         cfg.write_text("alpha 0.1\n")
         with pytest.raises(DataFormatError):
             read_config_file(cfg)
+
+    @pytest.mark.parametrize("line, cause", [
+        ("alpha = abc", "could not convert string to float: 'abc'"),
+        ("reps = 2.5", "invalid literal for int() with base 10: '2.5'"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, line, cause):
+        cfg, err = tmp_path / "bad.cfg", tmp_path / "e.json"
+        cfg.write_text(f"{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--error-json", str(err)]) == 1
+        key = line.split(" = ")[0]
+        message = f"{cfg}: config key {key!r}: {cause}"
+        assert json.loads(err.read_text()) == {"error": "ValueError", "message": message}
+        assert message in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "odd.cfg"

@@ -22,6 +22,8 @@ from indirgof.simulation import (
 )
 from indirgof.spectral import FreqLattice, enumerate_lattice, weight_matrix
 
+from helpers import full_indices, full_phases
+
 
 class TestDataset:
     def test_shapes_and_properties(self):
@@ -94,9 +96,9 @@ class TestDensityEstimate:
 
 
 def _complex_coeffs(c):
-    """Complex rhat over the whole lattice from the real coefficients."""
+    """Complex rhat over :func:`full_indices` from the real coefficients."""
     upper = (c[1::2] - 1j * c[2::2]) / np.sqrt(2.0)
-    return np.concatenate([np.conj(upper[::-1]), c[:1], upper])
+    return np.concatenate([c[:1], upper, np.conj(upper)])
 
 
 class TestEstimateCoeffs:
@@ -125,7 +127,7 @@ class TestEstimateCoeffs:
         lat = enumerate_lattice(2, 3)
         dens = estimate_density(data, lat)
         rhat = _complex_coeffs(estimate_coeffs(data, dens, lat))
-        for i, k in enumerate(lat.indices):
+        for i, k in enumerate(full_indices(lat)):
             if np.linalg.norm(k) > 2:
                 continue
             truth = laplace_psi(k[None, :])[0] * THETA_COEFFS.get(tuple(k), 0.0)
@@ -217,7 +219,7 @@ class TestFit:
         data = Dataset(x=rng.random((50, 1)), y=rng.normal(size=50))
         f = fit(data, enumerate_lattice(1, 3))
         pts = rng.random((30, 1))
-        ph = f.lattice.phases(pts)
+        ph = full_phases(f.lattice, pts)
         complex_vals = (np.exp(1j * ph) * _complex_coeffs(f.coeffs)).sum(axis=1)
         scale = np.maximum(np.abs(complex_vals.real), 1.0)
         assert np.max(np.abs(complex_vals.imag) / scale) < 1e-10

@@ -7,20 +7,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 from indirgof.errors import LatticeCapError
 from indirgof.spectral import enumerate_lattice, weight_matrix
 
-from helpers import brute_lattice_count, complex_weight_sum, smoothing_weight
+from helpers import brute_lattice_count, complex_weight_sum, full_indices, smoothing_weight
 
 
 class TestEnumerateLattice:
     def test_dim1_radius1(self):
         lat = enumerate_lattice(1, 1)
         assert lat.size == 3
-        assert_array_equal(lat.indices.ravel(), [-1, 0, 1])
+        assert_array_equal(lat.indices, [[1]])
 
     def test_dim2_radius1(self):
         lat = enumerate_lattice(2, 1)
         assert lat.size == 5
+        assert_array_equal(lat.indices, [[0, 1], [1, 0]])
         expected = {(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)}
-        assert {tuple(k) for k in lat.indices} == expected
+        assert {tuple(k) for k in full_indices(lat)} == expected
 
     def test_dim2_radius_2p5_against_brute_scan(self):
         lat = enumerate_lattice(2, 2.5)
@@ -44,12 +45,27 @@ class TestEnumerateLattice:
         with pytest.raises(ValueError, match="positive and finite, got inf"):
             enumerate_lattice(2, float("inf"))
 
-    def test_symmetry_and_ordering(self):
-        lat = enumerate_lattice(2, 2.5)
-        assert_array_equal(lat.indices, -lat.indices[::-1])
-        assert np.all(lat.indices[lat.zero_position] == 0)
-        as_tuples = [tuple(k) for k in lat.indices]
-        assert as_tuples == sorted(as_tuples)
+    @pytest.mark.parametrize("m,radius", [(1, 4), (2, 3.2), (3, 2.5)])
+    def test_one_index_of_each_pair(self, m, radius):
+        lat = enumerate_lattice(m, radius)
+        stored = [tuple(k) for k in lat.indices.tolist()]
+        assert all(k > tuple(-c for c in k) for k in stored)
+        full = stored + [tuple(-c for c in k) for k in stored] + [(0,) * m]
+        assert len(set(full)) == len(full) == lat.size
+        assert len(full) == brute_lattice_count(m, radius, span=int(radius) + 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sorted_by_norm_with_prefixes(self, m):
+        # by norm, ties in lexicographic order
+        big = enumerate_lattice(m, 3.5)
+        norms = np.sum(big.indices**2, axis=1)
+        keys = [(int(nrm), tuple(k)) for nrm, k in zip(norms, big.indices.tolist())]
+        assert keys == sorted(keys)
+        for radius in (0.5, 1, np.sqrt(2), 1.9, 2, 2.5, 3, 3.2):
+            lat = enumerate_lattice(m, radius)
+            assert lat.indices.shape[1] == m
+            assert_array_equal(lat.indices, big.indices[:len(lat.indices)])
+            assert np.all(norms[len(lat.indices):] > radius * radius)
 
 
 class TestSmoothingWeight:
@@ -137,6 +153,6 @@ class TestBasis:
         x = rng.random((5, 2))
         z = lat.basis(x)
         assert z.shape == (5, lat.size - 1) and z.dtype == np.float64
-        ph = lat.phases(x)[:, lat.zero_position + 1:]
+        ph = lat.phases(x)
         assert_allclose(z[:, 0::2], np.sqrt(2.0) * np.cos(ph), atol=1e-15)
         assert_allclose(z[:, 1::2], np.sqrt(2.0) * np.sin(ph), atol=1e-15)
