@@ -27,7 +27,6 @@ from .khmaladze import (
     decide,
     statistic,
     transform,
-    transform_standardized,
 )
 from .nulls import (
     NullModel,

@@ -76,7 +76,7 @@ def _write_json(payload, path=None):
 
 def load_csv(path):
     """Read a dataset from a CSV file with header ``x1,...,xm,y``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
@@ -300,7 +300,7 @@ def _run_test_on(data, config, caveats=()):
     if config.qq_out:
         probs = (np.arange(1, fitted.n + 1) - 0.5) / fitted.n
         _write_csv(config.qq_out, ["z_sorted", "null_quantile"],
-                   [fitted.z_sorted, null.quantile(probs)])
+                   [np.sort(fitted.z), null.quantile(probs)])
     return fitted, report
 
 
@@ -410,7 +410,7 @@ def run(config):
 def read_config_file(path):
     """Parse a flat ``key = value`` config file (# starts a comment)."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

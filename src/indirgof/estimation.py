@@ -90,11 +90,7 @@ class DensityEstimate:
 
     def evaluate(self, x):
         """Density at the points ``x``, at least ``floor``; one value per row."""
-        return self._at(self.lattice.basis(x))
-
-    def _at(self, z):
-        """Density, at least ``floor``, at the points whose basis rows are ``z``."""
-        return np.maximum(1.0 + z @ self.coeffs, self.floor)
+        return np.maximum(1.0 + self.lattice.basis(x) @ self.coeffs, self.floor)
 
 
 def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
@@ -134,22 +130,20 @@ def estimate_coeffs(data, density, lattice):
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Fitted regression surface, residuals and their empirical law.
+    """Fitted regression surface and its residuals.
 
     The surface is ``coeffs[0] + basis(x) @ coeffs[1:]`` with the
     coefficients of :func:`estimate_coeffs`.  ``sigma_hat`` is the root
-    mean square of the residuals and ``z`` the standardized residuals in
-    data order; ``z_sorted`` backs the right-continuous empirical
-    distribution function.
+    mean square of the residuals and ``z`` the standardized residuals, both
+    arrays in data order; their empirical law belongs to the test
+    (:mod:`indirgof.khmaladze`).
     """
 
     lattice: FreqLattice
     coeffs: np.ndarray = field(repr=False)
-    density: DensityEstimate
     residuals: np.ndarray = field(repr=False)
     sigma_hat: float
     z: np.ndarray = field(repr=False)
-    z_sorted: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -158,12 +152,6 @@ class RegressionFit:
     def predict(self, x):
         """Fitted surface at the points ``x``, one value per row."""
         return self.coeffs[0] + self.lattice.basis(x) @ self.coeffs[1:]
-
-    def ecdf(self, t):
-        """Empirical distribution of the standardized residuals at ``t``."""
-        t = np.asarray(t, dtype=float)
-        counts = np.searchsorted(self.z_sorted, t, side="right")
-        return counts / self.n
 
 
 def response_exponent(y):
@@ -186,11 +174,12 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     residual scale vanishes relative to max|y|, since the error-distribution
     test is undefined for an interpolating fit.
     """
+    check_density_floor(floor)
     e = response_exponent(data.y)
     y = np.ldexp(data.y, -e)
     basis = lattice.basis(data.x)
-    density = DensityEstimate(lattice, basis.mean(axis=0), float(floor))
-    coeffs = _series_coeffs(basis, y / density._at(basis))
+    density = np.maximum(1.0 + basis @ basis.mean(axis=0), floor)
+    coeffs = _series_coeffs(basis, y / density)
     residuals = y - (coeffs[0] + basis @ coeffs[1:])
     sigma = float(np.sqrt(np.mean(residuals**2)))
     if sigma <= 1e-13 * np.max(np.abs(y)):
@@ -198,13 +187,10 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
             f"residual scale {np.ldexp(sigma, e):.3e} is numerically zero; "
             "the fit interpolates the data and the test is undefined"
         )
-    z = residuals / sigma
     return RegressionFit(
         lattice=lattice,
         coeffs=np.ldexp(coeffs, e),
-        density=density,
         residuals=np.ldexp(residuals, e),
         sigma_hat=float(np.ldexp(sigma, e)),
-        z=z,
-        z_sorted=np.sort(z),
+        z=residuals / sigma,
     )

@@ -161,12 +161,15 @@ class ProcessTrace:
 
     Jump points appear twice: once with the left-limit value of the
     process (the compensator is continuous, only the empirical step
-    changes) and once with the value at the point.
+    changes) and once with the value at the point.  ``f_hat_t0`` is the
+    residuals' empirical distribution function at ``t0``, every residual
+    tied there included.
     """
 
     eval_points: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     t0: float
+    f_hat_t0: float
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -175,13 +178,13 @@ class ProcessTrace:
             raise ValueError("evaluation points must not exceed t0")
 
 
-def transform_standardized(z, null):
-    """Transformed empirical process of pre-standardized residuals.
+def transform(z, null):
+    """Transformed empirical process of the standardized residuals ``z``.
 
-    ``z`` is the array of standardized residuals (any order); the scan
-    endpoint is the ceil(0.99 n)-th order statistic.  The compensator sum
-    is evaluated through prefix sums over the sorted residuals, so each
-    evaluation point costs O(1) after the O(n log n) sort.
+    ``z`` may come in any order; the scan endpoint t0 is the
+    ceil(0.99 n)-th order statistic.  The compensator sum is evaluated
+    through prefix sums over the sorted residuals, so each evaluation point
+    costs O(1) after the O(n log n) sort.
     """
     z = np.sort(np.asarray(z, dtype=float).ravel())
     n = len(z)
@@ -212,31 +215,26 @@ def transform_standardized(z, null):
     pts = np.concatenate([grid, jumps, jumps])
     # Stable order: ascending t, left limits before values at the point.
     order = np.lexsort((np.repeat([0, -1, 0], [len(grid), len(jumps), len(jumps)]), pts))
-    return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0)
+    # ``linspace`` ends exactly at t0, so the last grid count is n Fhat(t0).
+    return ProcessTrace(eval_points=pts[order], values=vals[order], t0=t0,
+                        f_hat_t0=float(counts[len(grid) - 1] / n))
 
 
-def transform(regression_fit, null):
-    """Transformed empirical process of a fit's standardized residuals."""
-    return transform_standardized(regression_fit.z_sorted, null)
-
-
-def statistic(trace, regression_fit):
+def statistic(trace):
     """Supremum statistic ``max |xi| / sqrt(Fhat(t0))``.
 
     The denominator uses the exact value of the residual ecdf at t0
     (0.995 seen elsewhere is just sqrt(0.99) rounded).
     """
-    f_t0 = float(regression_fit.ecdf(trace.t0))
-    return float(np.max(np.abs(trace.values)) / math.sqrt(f_t0))
+    return float(np.max(np.abs(trace.values)) / math.sqrt(trace.f_hat_t0))
 
 
-def ks_diagnostic(regression_fit, null):
-    """Plain Kolmogorov-Smirnov distance sup |Fhat - F*|.
+def ks_diagnostic(z, null):
+    """Plain Kolmogorov-Smirnov distance sup |Fhat - F*| of the sorted residuals ``z``.
 
     Diagnostic only: its null distribution depends on the hypothesized
     law, so no critical values are attached.
     """
-    z = regression_fit.z_sorted
     n = len(z)
     cdf = np.asarray(null.cdf(z), dtype=float)
     steps = np.arange(1, n + 1) / n
@@ -376,14 +374,15 @@ def decide(regression_fit, null, alpha):
     supremum quantile and reports the matching p-value.
     """
     q_alpha = brownian_sup_quantile(alpha)
-    trace = transform(regression_fit, null)
-    t_stat = statistic(trace, regression_fit)
+    z = np.sort(regression_fit.z)
+    trace = transform(z, null)
+    t_stat = statistic(trace)
     return TestReport(
         statistic=t_stat,
         p_value=brownian_sup_tail(t_stat),
         log10_p_value=brownian_sup_log10_tail(t_stat),
         t0=trace.t0,
-        f_hat_t0=float(regression_fit.ecdf(trace.t0)),
+        f_hat_t0=trace.f_hat_t0,
         alpha=float(alpha),
         q_alpha=q_alpha,
         reject=bool(t_stat > q_alpha),
@@ -391,6 +390,6 @@ def decide(regression_fit, null, alpha):
         chosen_radius=regression_fit.lattice.radius,
         n=regression_fit.n,
         null_name=null.name,
-        ks_diagnostic=ks_diagnostic(regression_fit, null),
+        ks_diagnostic=ks_diagnostic(z, null),
         trace=trace,
     )

@@ -50,7 +50,9 @@ class FreqLattice:
     def phases(self, x):
         """2*pi*k.x for every stored index, shape ``(P, H)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return TWO_PI * (x @ self.indices.T.astype(float))
+        ph = x @ self.indices.T.astype(float)
+        ph *= TWO_PI  # in place: no second (P, H) temporary
+        return ph
 
     def basis(self, x):
         """Real Fourier basis of the lattice, shape ``(P, N - 1)``.
@@ -93,14 +95,17 @@ def enumerate_lattice(m, radius):
             f"frequency lattice scan of {total} candidate indices "
             f"(m={m}, radius={radius}) exceeds the cap of {LATTICE_CAP}"
         )
-    axes = [np.arange(-half, half + 1, dtype=np.int64)] * m
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    # The scan is lexicographic, so its later half holds one index of each
-    # pair.  Integer norm comparison avoids any floating-point boundary fuzz.
-    upper = grid[(total + 1) // 2:]
-    norms = np.sum(upper * upper, axis=1)
-    inside = norms <= radius * radius
-    indices = upper[inside][np.argsort(norms[inside], kind="stable")]
+    # Grow the ball axis by axis in lexicographic order, never forming the
+    # cube: a partial vector goes once its integer squared norm passes radius^2.
+    values = np.arange(-half, half + 1, dtype=np.int64)
+    ball, norms = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        grown = norms[:, None] + values * values
+        rows, cols = np.nonzero(grown <= radius * radius)
+        ball, norms = np.column_stack([ball[rows], values[cols]]), grown[rows, cols]
+    # Of each pair +-k keep the lexicographically later: first nonzero entry > 0.
+    upper = ball[np.arange(len(ball)), np.argmax(ball != 0, axis=1)] > 0
+    indices = ball[upper][np.argsort(norms[upper], kind="stable")]
     return FreqLattice(radius=float(radius), indices=indices)
 
 

@@ -100,6 +100,14 @@ class TestCsvIo:
         with pytest.raises(DataFormatError, match="header"):
             load_csv(path)
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,x2,y\n0.1,0.2,1.5\n0.3,0.4,-2.0\n")
+        data = load_csv(path)
+        assert data.m == 2
+        assert_array_equal(data.y, [1.5, -2.0])
+
 
 def _write_pgm_p2(path, mat, maxval=255):
     lines = [f"P2\n# comment row\n{mat.shape[1]} {mat.shape[0]}\n{maxval}\n"]
@@ -251,6 +259,13 @@ class TestConfigFile:
         message = f"{cfg}: config key {key!r}: {cause}"
         assert json.loads(err.read_text()) == {"error": "ValueError", "message": message}
         assert message in capsys.readouterr().err
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfalpha = 0.1\n")
+        assert read_config_file(cfg) == {"alpha": "0.1"}
+        config = build_config(_build_parser().parse_args(["simulate", "--config", str(cfg)]))
+        assert config.alpha == 0.1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "odd.cfg"
@@ -616,7 +631,7 @@ def test_exports_parse_back_bit_for_bit(tmp_path):
     same_bits(cols[:, 1], trace.values)
     header, cols = _read_csv_columns(qq_out)
     assert header == ["z_sorted", "null_quantile"]
-    same_bits(cols[:, 0], fitted.z_sorted)
+    same_bits(cols[:, 0], np.sort(fitted.z))
     same_bits(cols[:, 1], quantiles)
     header, cols = _read_csv_columns(res_out)
     assert header == ["x1", "x2", "y", "fitted", "residual", "z"]

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from indirgof.bandwidth import default_radius_grid, select_and_fit
 from indirgof.errors import DegenerateFitError
 from indirgof.estimation import (
-    RegressionFit,
     Dataset,
     estimate_coeffs,
     estimate_density,
@@ -190,7 +189,7 @@ class TestFit:
         data = Dataset(x=rng.random((80, 2)), y=rng.normal(size=80))
         lat = enumerate_lattice(2, 2)
         f = fit(data, lat)
-        ratios = data.y / f.density.evaluate(data.x)
+        ratios = data.y / estimate_density(data, lat).evaluate(data.x)
         direct = weight_matrix(lat, data.x) @ ratios / data.n
         assert_allclose(data.y - f.residuals, direct, atol=1e-9)
 
@@ -211,8 +210,7 @@ class TestFit:
             assert calls == [70]
             # evaluation elsewhere forms its own phases
             f.predict(rng.random((4, m)))
-            f.density.evaluate(rng.random((3, m)))
-            assert calls == [70, 4, 3]
+            assert calls == [70, 4]
 
     def test_prediction_is_real(self):
         rng = np.random.default_rng(17)
@@ -232,41 +230,8 @@ class TestFit:
         f = fit(data, enumerate_lattice(2, 2))
         point = np.array([0.3, 0.6])
         assert f.predict(point).shape == (1,)
-        assert f.density.evaluate(point).shape == (1,)
+        assert estimate_density(data, f.lattice).evaluate(point).shape == (1,)
         assert ktheta_true(paper_model("zero"), point).shape == (1,)
-
-
-def _fit_with_standardized(z):
-    # Assemble a RegressionFit around a chosen residual multiset; only the
-    # ecdf machinery is exercised through it.
-    z = np.asarray(z, dtype=float)
-    lat = enumerate_lattice(1, 1)
-    data = Dataset(x=[[0.2], [0.5], [0.8]], y=[0.0, 0.0, 0.0])
-    dens = estimate_density(data, lat)
-    return RegressionFit(lattice=lat, coeffs=np.zeros(3),
-                         density=dens, residuals=z.copy(), sigma_hat=1.0,
-                         z=z, z_sorted=np.sort(z))
-
-
-class TestEcdf:
-    def test_spec_values(self):
-        f = _fit_with_standardized([-1.0, 0.0, 1.0])
-        assert f.ecdf(0.0) == pytest.approx(2.0 / 3.0)
-        assert f.ecdf(-5.0) == 0.0
-        assert f.ecdf(1.0) == 1.0
-
-    def test_step_structure(self):
-        rng = np.random.default_rng(19)
-        data = Dataset(x=rng.random((40, 1)), y=rng.normal(size=40))
-        f = fit(data, enumerate_lattice(1, 2))
-        ts = np.sort(np.concatenate([f.z_sorted, f.z_sorted - 1e-9, [np.inf]]))
-        vals = f.ecdf(ts)
-        assert np.all(np.diff(vals) >= 0)
-        assert vals[-1] == 1.0
-        # each unique residual contributes a jump of its multiplicity / n
-        uniq, counts = np.unique(f.z_sorted, return_counts=True)
-        jumps = f.ecdf(uniq) - f.ecdf(uniq - 1e-12)
-        assert_allclose(jumps, counts / f.n, atol=1e-12)
 
 
 @pytest.mark.slow

@@ -24,7 +24,6 @@ from indirgof.khmaladze import (
     gamma_quadrature,
     statistic,
     transform,
-    transform_standardized,
 )
 from indirgof.nulls import (
     gamma_closed_form_gaussian,
@@ -226,45 +225,56 @@ class TestSolveSpd:
         assert np.all(residual <= 8.0 * eps * norm_gam * np.max(np.abs(got), axis=1))
 
 
-class _StubFit:
-    """Anything with an ecdf() works for the statistic denominator."""
-
-    def __init__(self, f_t0):
-        self._f = f_t0
-
-    def ecdf(self, t):
-        return self._f
-
-
 class TestStatistic:
     def test_zero_process(self):
         trace = ProcessTrace(eval_points=np.array([0.0, 1.0]),
-                             values=np.zeros(2), t0=1.0)
-        assert statistic(trace, _StubFit(0.99)) == 0.0
+                             values=np.zeros(2), t0=1.0, f_hat_t0=0.99)
+        assert statistic(trace) == 0.0
 
     def test_arithmetic_example(self):
         trace = ProcessTrace(eval_points=np.array([0.0, 1.0]),
-                             values=np.array([-3.0, 1.0]), t0=1.0)
-        assert statistic(trace, _StubFit(0.99)) == pytest.approx(3.0151, abs=1e-4)
+                             values=np.array([-3.0, 1.0]), t0=1.0, f_hat_t0=0.99)
+        assert statistic(trace) == pytest.approx(3.0151, abs=1e-4)
+
+
+class TestFhatT0:
+    def test_counts_every_residual_tied_at_t0(self):
+        # n = 100: t0 is z_(99), and z_(98) = z_(99) = z_(100), so all 100
+        # residuals lie at or below it
+        z = np.concatenate([np.linspace(-2.0, 1.0, 97), [1.5, 1.5, 1.5]])
+        trace = transform(np.random.default_rng(60).permutation(z), NULL)
+        assert trace.t0 == 1.5
+        assert trace.f_hat_t0 == 1.0
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_report_matches_sorted_residual_count(self, null_factory):
+        null = null_factory()
+        for seed, n in ((61, 150), (62, 400)):
+            data = generate(paper_model("normal"), n, np.random.default_rng(seed))
+            _, fitted = select_and_fit(data)
+            report = decide(fitted, null, 0.05)
+            expected = np.searchsorted(np.sort(fitted.z), report.t0, "right") / n
+            assert report.f_hat_t0.hex() == float(expected).hex()
+            assert report.trace.f_hat_t0 == report.f_hat_t0
 
 
 class TestTransform:
     def test_smoke_quantile_residuals(self):
         z = NULL.quantile((np.arange(1, 11) - 0.5) / 10.0)
-        trace = transform_standardized(z, NULL)
+        trace = transform(z, NULL)
         f_t0 = np.searchsorted(np.sort(z), trace.t0, side="right") / 10.0
         t_stat = float(np.max(np.abs(trace.values)) / math.sqrt(f_t0))
         assert np.isfinite(t_stat) and t_stat > 0.0
 
     def test_needs_ten_residuals(self):
         with pytest.raises(InsufficientDataError):
-            transform_standardized(np.linspace(-1, 1, 9), NULL)
+            transform(np.linspace(-1, 1, 9), NULL)
 
     def test_deterministic(self):
         rng = np.random.default_rng(55)
         z = rng.standard_normal(40)
-        a = transform_standardized(z, NULL)
-        b = transform_standardized(z.copy(), NULL)
+        a = transform(z, NULL)
+        b = transform(z.copy(), NULL)
         assert_allclose(a.eval_points, b.eval_points)
         assert_allclose(a.values, b.values)
         assert a.t0 == b.t0
@@ -272,13 +282,13 @@ class TestTransform:
     def test_t0_is_99th_percentile_order_statistic(self):
         rng = np.random.default_rng(56)
         z = rng.standard_normal(200)
-        trace = transform_standardized(z, NULL)
+        trace = transform(z, NULL)
         assert trace.t0 == float(np.sort(z)[197])  # ceil(0.99 * 200) = 198
 
     def test_eval_points_do_not_exceed_t0(self):
         rng = np.random.default_rng(57)
         z = rng.standard_normal(60)
-        trace = transform_standardized(z, NULL)
+        trace = transform(z, NULL)
         assert np.max(trace.eval_points) <= trace.t0 + 1e-12
 
     @pytest.mark.parametrize("seed,n", [(1, 12), (2, 25), (3, 30)])
@@ -298,7 +308,7 @@ class TestTransform:
         null = student_t_null(6.0)
         z = rng.standard_t(6.0, 60)
         z = z / np.sqrt(np.mean(z**2))
-        trace = transform_standardized(z, null)
+        trace = transform(z, null)
         assert np.all(np.isfinite(trace.values))
 
     @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
@@ -314,7 +324,7 @@ class TestTransform:
         z_tied = np.round(z_raw, 1)
         assert len(np.unique(z_tied)) < 300 and np.any(np.signbit(z_tied[z_tied == 0]))
         for sample in (z_raw, z_tied):
-            trace = transform_standardized(sample, null)
+            trace = transform(sample, null)
             z = np.sort(sample)  # as the transform sorts: -0.0 and 0.0 may swap
             grid, g0 = build_scan(null, trace.t0)
 
@@ -346,7 +356,7 @@ class TestTransform:
     def test_trace_rejects_points_beyond_t0(self):
         with pytest.raises(ValueError, match="t0"):
             ProcessTrace(eval_points=np.array([0.0, 2.0]),
-                         values=np.zeros(2), t0=1.0)
+                         values=np.zeros(2), t0=1.0, f_hat_t0=1.0)
 
 
 class TestBrownianQuantiles:
@@ -593,7 +603,7 @@ class TestNullCalibration:
         for _ in range(reps):
             eps = rng.standard_normal(n)
             z = eps / np.sqrt(np.mean(eps**2))
-            trace = transform_standardized(z, NULL)
+            trace = transform(z, NULL)
             f_t0 = np.searchsorted(np.sort(z), trace.t0, side="right") / n
             rejections += float(np.max(np.abs(trace.values)) / math.sqrt(f_t0)) > q
         rate = rejections / reps

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,17 @@ class TestEnumerateLattice:
     def test_cap_exceeded_names_size(self):
         with pytest.raises(LatticeCapError, match="16088121"):
             enumerate_lattice(2, 2005)
+
+    def test_memory_follows_the_ball_not_the_cube(self):
+        # the (2*2 + 1)^8 = 390,625-candidate cube alone would take 25 MB
+        tracemalloc.start()
+        try:
+            lat = enumerate_lattice(8, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lat.indices) == 856
+        assert peak < 5e6
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
