@@ -4,7 +4,7 @@ The score of a radius is the mean squared leave-one-out prediction error;
 leaving out observation j removes it from both the density estimate and
 the coefficient sums (sums over i != j, normalized by n - 1).  With
 pairwise weights W and row sums rs this is the exact identity
-pred_j = sum_{i != j} y_i W_ij / max(rs_i - W_ij, floor (n - 1)).
+pred_j = sum_{i != j} y_i W_ij / max(rs_i - W_ij, DENSITY_FLOOR (n - 1)).
 
 All radii are scored in one blocked pass over nested shells: the largest
 lattice's real basis Z (:meth:`FreqLattice.basis`) is held as one
@@ -14,7 +14,7 @@ O(nN).  Each block of 32 rows adds one shell per radius by one full-width
 product and sums its held-out terms while in cache, in O(32 n) working
 memory with no n x n matrix; W_jj is the lattice size N_r, so the i = j
 term is closed-form.  As |W_ij| <= N_r, a block whose rows all have
-rs_i - N_r (1 + 1e-9) >= floor (n - 1) skips the clamp, which cannot act.
+rs_i - N_r (1 + 1e-9) >= DENSITY_FLOOR (n - 1) skips the clamp, which cannot act.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .estimation import DEFAULT_DENSITY_FLOOR, check_density_floor, fit, response_exponent
+from .estimation import DENSITY_FLOOR, fit, response_exponent
 from .spectral import enumerate_lattice
 
 _BLOCK_ROWS = 32
@@ -46,14 +46,15 @@ class CvReport:
 def default_radius_grid(n, m):
     """Integer candidate radii 1..max(2, floor(n**(1/(2+m)))).
 
-    Keeps the largest lattice O(n) while bracketing the bias-variance
-    sweet spot for the smoothness levels used in the simulation study.
+    The top radius grows as n**(1/(2+m)) but is never below 2, so for
+    n < 3**(m+2) the grid is 1..2; in high dimension the radius-2 lattice
+    can then exceed n (N = 1713 for m = 8 at n = 300 and at n = 2000).
     """
     r_max = max(2, int(np.floor(n ** (1.0 / (2 + m)))))
     return list(range(1, r_max + 1))
 
 
-def _prefix_scores(data, zt, prefixes, floor):
+def _prefix_scores(data, zt, prefixes):
     """Leave-one-out scores of the lattices spanned by row prefixes of ``zt``.
 
     ``zt`` is a real basis at the data, shape (N - 1, n), with its cos/sin
@@ -62,7 +63,7 @@ def _prefix_scores(data, zt, prefixes, floor):
     e from :func:`response_exponent`, and those of y, inf beyond double range.
     """
     e = response_exponent(data.y)
-    n, y, lo = data.n, np.ldexp(data.y, -e), floor * (data.n - 1)
+    n, y, lo = data.n, np.ldexp(data.y, -e), DENSITY_FLOOR * (data.n - 1)
     shells = list(zip([0, *prefixes], prefixes))
     total = zt.sum(axis=1)
     row_sums = n + np.cumsum([total[a:b] @ zt[a:b] for a, b in shells], axis=0)
@@ -88,14 +89,13 @@ def _prefix_scores(data, zt, prefixes, floor):
         return scaled, np.ldexp(scaled, 2 * e)
 
 
-def loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
+def loo_score(data, lattice):
     """Mean squared leave-one-out prediction error for one lattice."""
-    check_density_floor(floor)
     zt = lattice.basis(data.x).T
-    return float(_prefix_scores(data, zt, [len(zt)], floor)[1][0])
+    return float(_prefix_scores(data, zt, [len(zt)])[1][0])
 
 
-def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
+def cv_select(data, radii=None):
     """Choose the cutoff radius minimizing the leave-one-out score.
 
     Parameters
@@ -104,8 +104,6 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
     radii : sequence of positive reals, optional
         Candidate cutoff radii; each must pass the lattice size cap.
         Defaults to :func:`default_radius_grid`.
-    floor : float
-        Density clamp in (0, 1) forwarded to the leave-one-out fits.
 
     Returns
     -------
@@ -114,7 +112,6 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
         break toward the smaller radius.  Scores are compared on the scaled
         responses, so the choice stands where a score in y's units is inf.
     """
-    check_density_floor(floor)
     if data.n < 3:
         raise InsufficientDataError(
             f"cross-validation needs at least 3 observations, got {data.n}"
@@ -132,13 +129,13 @@ def cv_select(data, radii=None, floor=DEFAULT_DENSITY_FLOOR):
     counts = np.searchsorted(norms, np.square(radii), side="right")
     prefixes, which = np.unique(2 * counts, return_inverse=True)
     zt = np.ascontiguousarray(lattice.basis(data.x).T)
-    scaled, scores = _prefix_scores(data, zt, prefixes.tolist(), floor)
+    scaled, scores = _prefix_scores(data, zt, prefixes.tolist())
     scored = tuple((r, float(scores[k])) for r, k in zip(radii, which))
     chosen = min(zip(radii, which), key=lambda rk: (scaled[rk[1]], rk[0]))[0]
     return CvReport(candidates=scored, chosen=chosen)
 
 
-def select_and_fit(data, radii=None, floor=DEFAULT_DENSITY_FLOOR, *, radius=None):
+def select_and_fit(data, radii=None, *, radius=None):
     """Fit the regression at the cross-validated radius, or at a fixed one.
 
     Returns ``(report, fitted)``: the :class:`CvReport` of :func:`cv_select`
@@ -147,6 +144,6 @@ def select_and_fit(data, radii=None, floor=DEFAULT_DENSITY_FLOOR, *, radius=None
     """
     report = None
     if radius is None:
-        report = cv_select(data, radii, floor)
+        report = cv_select(data, radii)
         radius = report.chosen
-    return report, fit(data, enumerate_lattice(data.m, float(radius)), floor)
+    return report, fit(data, enumerate_lattice(data.m, float(radius)))

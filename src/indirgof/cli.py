@@ -18,7 +18,7 @@ import numpy as np
 
 from .bandwidth import select_and_fit
 from .errors import DataFormatError, IndirgofError, InsufficientDataError
-from .estimation import DEFAULT_DENSITY_FLOOR, Dataset
+from .estimation import Dataset
 from .khmaladze import decide
 from .nulls import get_null
 from .simulation import COVARIATE_LAWS, PowerRow, paper_model, power_study
@@ -256,8 +256,6 @@ class RunConfig:
                             help="comma-separated candidate cutoff radii")
     radius: float = _option("--radius", ("estimate",), type=float,
                             help="fixed cutoff radius (skips CV)")
-    floor: float = _option("--floor", _ALL, DEFAULT_DENSITY_FLOOR, type=float,
-                           help="density lower clamp")
     seed: int = _option("--seed", ("simulate",), 0, type=int)
     out: str = _option("--out", _ALL, output=True)
     trace_out: str = _option("--trace-out", _RUNS_TEST, output=True)
@@ -289,7 +287,7 @@ class RunConfig:
 def _run_test_on(data, config, caveats=()):
     null = get_null(config.null_name)
     # no fixed radius: a shared config file's ``radius`` is for ``estimate``
-    cv, fitted = select_and_fit(data, config.cv_grid, config.floor)
+    cv, fitted = select_and_fit(data, config.cv_grid)
     report = decide(fitted, null, config.alpha)
     _write_json({"schema_version": REPORT_SCHEMA_VERSION, "command": config.command,
                  **report.to_dict(), "cv": cv.as_dict(),
@@ -314,7 +312,7 @@ def _cmd_estimate(config):
     if config.grid_points < 1:
         raise ValueError(f"--grid-points must be positive, got {config.grid_points}")
     data = load_csv(config.input)
-    cv, fitted = select_and_fit(data, config.cv_grid, config.floor, radius=config.radius)
+    cv, fitted = select_and_fit(data, config.cv_grid, radius=config.radius)
     axes = [np.linspace(0.0, 1.0, config.grid_points)] * data.m
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, data.m)
     values = fitted.predict(mesh)
@@ -338,7 +336,7 @@ def _cmd_simulate(config):
     scenarios = [paper_model(name, config.design) for name in config.scenarios]
     table = power_study(
         scenarios, config.n_list, config.reps, config.alpha, config.seed,
-        cv_radii=config.cv_grid, floor=config.floor, workers=config.workers,
+        cv_radii=config.cv_grid, workers=config.workers,
     )
     if config.out:
         _write_csv(config.out, [f.name for f in fields(PowerRow)],

@@ -6,14 +6,15 @@ W(x - x') = 1 + Z(x).Z(x').  The covariate density estimate
 
     g_hat(x) = 1 + Z(x).mean_j Z(x_j)
 
-is held at or above a configurable floor because the Dirichlet kernel
-oscillates and the raw estimate can dip to zero or below in small samples.
+is clamped below at the constant :data:`DENSITY_FLOOR` because the Dirichlet
+kernel oscillates and the raw estimate can dip to zero or below in small
+samples.
 With u_j = y_j / g_hat(x_j), the distorted regression surface is
 
     fitted(x) = mean_j u_j + Z(x).mean_j u_j Z(x_j) = mean_j u_j W(x - x_j).
 
 Because the series contains the constant term, the residuals sum to zero
-exactly (up to accumulated rounding) provided the floor never activates;
+exactly (up to accumulated rounding) provided the clamp never activates;
 the property is structural and no recentring is applied.
 """
 
@@ -24,15 +25,8 @@ import numpy as np
 from .errors import DegenerateFitError
 from .spectral import FreqLattice
 
-#: Default lower clamp for the covariate density estimate.
-DEFAULT_DENSITY_FLOOR = 0.05
-
-
-def check_density_floor(floor):
-    """Refuse a floor outside (0, 1): the raw estimate integrates to 1, so a
-    clamp at 1 or above lifts it to at least its mean everywhere."""
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"density floor must be positive and below 1, got {floor}")
+#: Lower clamp for the covariate density estimate.
+DENSITY_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -78,36 +72,20 @@ class DensityEstimate:
     ``coeffs`` is the sample mean of the lattice basis over the covariates
     and the estimate is ``1 + basis(x) @ coeffs``; the constant term is
     exactly 1, so the raw estimate integrates to one over the unit cube.
-    Evaluation clamps below at ``floor``.
+    Evaluation clamps below at :data:`DENSITY_FLOOR`.
     """
 
     lattice: FreqLattice
     coeffs: np.ndarray = field(repr=False)
-    floor: float
-
-    def __post_init__(self):
-        check_density_floor(self.floor)
 
     def evaluate(self, x):
-        """Density at the points ``x``, at least ``floor``; one value per row."""
-        return np.maximum(1.0 + self.lattice.basis(x) @ self.coeffs, self.floor)
+        """Clamped density at the points ``x``, one value per row."""
+        return np.maximum(1.0 + self.lattice.basis(x) @ self.coeffs, DENSITY_FLOOR)
 
 
-def estimate_density(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
-    """Estimate the covariate density by Fourier smoothing.
-
-    Parameters
-    ----------
-    data : Dataset
-    lattice : FreqLattice
-    floor : float
-        Lower clamp in (0, 1) applied on evaluation.
-
-    Returns
-    -------
-    DensityEstimate
-    """
-    return DensityEstimate(lattice, lattice.basis(data.x).mean(axis=0), float(floor))
+def estimate_density(data, lattice):
+    """Estimate the covariate density of ``data`` by Fourier smoothing on ``lattice``."""
+    return DensityEstimate(lattice, lattice.basis(data.x).mean(axis=0))
 
 
 def _series_coeffs(z, ratios):
@@ -120,7 +98,7 @@ def estimate_coeffs(data, density, lattice):
 
     Returns ``c`` of length N with ``c[0] = (1/n) sum_j u_j`` and
     ``c[1:] = (1/n) sum_j u_j basis(x_j)``, where ``u_j = y_j / g_hat(x_j)``
-    uses the density with its floor, so no term divides by a value at or
+    uses the clamped density, so no term divides by a value at or
     below zero.  In complex form the coefficient of the i-th stored index k
     has real part ``c[2i + 1] / sqrt(2)`` and imaginary part
     ``-c[2i + 2] / sqrt(2)``; that of -k is its conjugate.
@@ -165,7 +143,7 @@ def response_exponent(y):
     return int(np.frexp(np.max(np.abs(y)))[1])
 
 
-def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
+def fit(data, lattice):
     """Fit the Fourier-series regression and standardize its residuals.
 
     Fitted values at the data points come from the coefficient series,
@@ -174,11 +152,10 @@ def fit(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
     residual scale vanishes relative to max|y|, since the error-distribution
     test is undefined for an interpolating fit.
     """
-    check_density_floor(floor)
     e = response_exponent(data.y)
     y = np.ldexp(data.y, -e)
     basis = lattice.basis(data.x)
-    density = np.maximum(1.0 + basis @ basis.mean(axis=0), floor)
+    density = np.maximum(1.0 + basis @ basis.mean(axis=0), DENSITY_FLOOR)
     coeffs = _series_coeffs(basis, y / density)
     residuals = y - (coeffs[0] + basis @ coeffs[1:])
     sigma = float(np.sqrt(np.mean(residuals**2)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bandwidth import select_and_fit
 from .errors import IndirgofError
-from .estimation import DEFAULT_DENSITY_FLOOR, Dataset
+from .estimation import Dataset
 from .khmaladze import decide
 from .nulls import gaussian_null
 
@@ -222,15 +222,14 @@ class PowerTable:
         return {"alpha": self.alpha, "rows": rows}
 
 
-def run_single_rep(model, n, alpha, seed_key, cv_radii=None,
-                   floor=DEFAULT_DENSITY_FLOOR):
+def run_single_rep(model, n, alpha, seed_key, cv_radii=None):
     """One Monte-Carlo repetition: generate, ``select_and_fit``, then decide.
 
     ``seed_key`` is the (master seed, cell index, rep index) triple that
     pins the RNG stream of this repetition.
     """
     data = generate(model, n, np.random.default_rng(list(seed_key)))
-    _, fitted = select_and_fit(data, cv_radii, floor)
+    _, fitted = select_and_fit(data, cv_radii)
     return bool(decide(fitted, gaussian_null(), alpha).reject)
 
 
@@ -274,15 +273,15 @@ def _one_blas_thread():
 
 
 def _rep_task(args):
-    model, n, alpha, seed_key, cv_radii, floor = args
+    model, n, alpha, seed_key, cv_radii = args
     try:
-        return run_single_rep(model, n, alpha, seed_key, cv_radii, floor), None
+        return run_single_rep(model, n, alpha, seed_key, cv_radii), None
     except IndirgofError as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
-                cv_radii=None, floor=DEFAULT_DENSITY_FLOOR, workers=1):
+                cv_radii=None, workers=1):
     """Monte-Carlo rejection rates of the Gaussian-null test.
 
     Parameters
@@ -319,7 +318,7 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
     if not cells:
         raise ValueError("a study needs at least one scenario and one sample size")
     tasks = [
-        (model, n, alpha, (seed, ci, r), cv_radii, floor)
+        (model, n, alpha, (seed, ci, r), cv_radii)
         for ci, (model, n) in enumerate(cells)
         for r in range(reps)
     ]

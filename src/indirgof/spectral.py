@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import LatticeCapError
 
-#: Hard cap on the number of candidate indices scanned when enumerating a
-#: lattice; (2*floor(radius)+1)**m grows quickly for m >= 3.
-LATTICE_CAP = 10_000_000
+#: Cap on the candidate indices formed at each axis of the enumeration; it
+#: also bounds the lattice size N, and so the n x N basis built from it.
+LATTICE_CAP = 100_000
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,7 +77,7 @@ def enumerate_lattice(m, radius):
         Dimension, at least 1.
     radius : float
         Positive, finite cutoff radius.  At most :data:`LATTICE_CAP` candidate
-        indices may be scanned.
+        indices may be formed at any axis.
 
     Returns
     -------
@@ -89,17 +89,17 @@ def enumerate_lattice(m, radius):
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     half = int(np.floor(radius))
-    total = (2 * half + 1) ** m
-    if total > LATTICE_CAP:
-        raise LatticeCapError(
-            f"frequency lattice scan of {total} candidate indices "
-            f"(m={m}, radius={radius}) exceeds the cap of {LATTICE_CAP}"
-        )
     # Grow the ball axis by axis in lexicographic order, never forming the
     # cube: a partial vector goes once its integer squared norm passes radius^2.
     values = np.arange(-half, half + 1, dtype=np.int64)
     ball, norms = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(m):
+        total = len(ball) * len(values)
+        if total > LATTICE_CAP:
+            raise LatticeCapError(
+                f"frequency lattice scan of {total} candidate indices "
+                f"(m={m}, radius={radius}) exceeds the cap of {LATTICE_CAP}"
+            )
         grown = norms[:, None] + values * values
         rows, cols = np.nonzero(grown <= radius * radius)
         ball, norms = np.column_stack([ball[rows], values[cols]]), grown[rows, cols]

@@ -18,12 +18,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.special import ndtr
 
-from indirgof.estimation import (
-    DEFAULT_DENSITY_FLOOR,
-    Dataset,
-    estimate_coeffs,
-    estimate_density,
-)
+from indirgof.estimation import DENSITY_FLOOR, Dataset, estimate_coeffs, estimate_density
 from indirgof.nulls import gamma_closed_form_gaussian, score_h
 from indirgof.simulation import ktheta_true
 from indirgof.spectral import weight_matrix
@@ -122,24 +117,24 @@ def oracle_points_for(z, t0, extra=23):
     return pts, sides
 
 
-def dense_loo_score(data, lattice, floor=DEFAULT_DENSITY_FLOOR):
+def dense_loo_score(data, lattice):
     """Mean squared leave-one-out prediction error for one lattice."""
     n = data.n
     wmat = weight_matrix(lattice, data.x)
     row_sums = wmat.sum(axis=1)
     # g_minus[i, j] = density estimate without observation j, at x_i.
     g_minus = (row_sums[:, None] - wmat) / (n - 1)
-    np.maximum(g_minus, floor, out=g_minus)
+    np.maximum(g_minus, DENSITY_FLOOR, out=g_minus)
     contrib = (data.y[:, None] / g_minus) * wmat
     pred = (contrib.sum(axis=0) - np.diagonal(contrib)) / (n - 1)
     return float(np.mean((data.y - pred) ** 2))
 
 
-def refit_loo_prediction(data, lattice, floor, j):
+def refit_loo_prediction(data, lattice, j):
     """Leave-one-out prediction at x_j by a literal refit without row j."""
     keep = np.arange(data.n) != j
     reduced = Dataset(x=data.x[keep], y=data.y[keep])
-    density = estimate_density(reduced, lattice, floor)
+    density = estimate_density(reduced, lattice)
     c = estimate_coeffs(reduced, density, lattice)
     ph = lattice.phases(data.x[j][None, :])[0]
     return float(c[0] + np.sqrt(2.0) * (np.cos(ph) @ c[1::2] + np.sin(ph) @ c[2::2]))

@@ -5,7 +5,7 @@ import pytest
 
 from indirgof.bandwidth import cv_select, default_radius_grid, loo_score, select_and_fit
 from indirgof.errors import InsufficientDataError, LatticeCapError
-from indirgof.estimation import DEFAULT_DENSITY_FLOOR, Dataset, fit
+from indirgof.estimation import DENSITY_FLOOR, Dataset, fit
 from indirgof.simulation import generate, paper_model
 from indirgof.spectral import enumerate_lattice, weight_matrix
 
@@ -98,7 +98,7 @@ def test_incremental_matches_refit():
         lat = enumerate_lattice(m, 2)
         wmat_score = loo_score(data, lat)
         preds = np.array(
-            [refit_loo_prediction(data, lat, 0.05, j) for j in range(n)]
+            [refit_loo_prediction(data, lat, j) for j in range(n)]
         )
         brute = float(np.mean((data.y - preds) ** 2))
         assert wmat_score == pytest.approx(brute, abs=1e-10)
@@ -118,7 +118,7 @@ def test_selects_true_cutoff_on_noiseless_polynomial():
     # brute-force confirmation for the winning radius on a subsample
     sub = Dataset(x=data.x[:60], y=data.y[:60])
     lat = enumerate_lattice(1, report.chosen)
-    preds = np.array([refit_loo_prediction(sub, lat, 0.05, j) for j in range(60)])
+    preds = np.array([refit_loo_prediction(sub, lat, j) for j in range(60)])
     assert loo_score(sub, lat) == pytest.approx(
         float(np.mean((sub.y - preds) ** 2)), abs=1e-10
     )
@@ -165,7 +165,7 @@ def test_blocked_pass_matches_dense_oracle_under_active_floor(m):
         lat = enumerate_lattice(m, radius)
         wmat = weight_matrix(lat, x)
         g_minus = (wmat.sum(axis=1)[:, None] - wmat) / (n - 1)
-        clamped.append(bool(np.any(g_minus < DEFAULT_DENSITY_FLOOR)))
+        clamped.append(bool(np.any(g_minus < DENSITY_FLOOR)))
         assert score == pytest.approx(dense_loo_score(data, lat), rel=1e-12, abs=0.0)
         assert loo_score(data, lat) == pytest.approx(score, rel=1e-12, abs=0.0)
     assert all(clamped)
@@ -200,30 +200,6 @@ def test_nonpositive_radius_rejected(bad):
         cv_select(_uniform_data(rng, 20), [1.0, bad, 2.0])
 
 
-# a floor of 1 or more clamps the density to at least its mean everywhere;
-# inf and 1e308 once made every CV score the mean of y**2
-_BAD_FLOORS = [float("nan"), 0.0, -1.0, float("inf"), 1e308, 1.0]
-
-
-@pytest.mark.parametrize("floor", _BAD_FLOORS)
-def test_bad_density_floor_rejected(floor):
-    rng = np.random.default_rng(31)
-    with pytest.raises(ValueError, match="density floor must be positive"):
-        cv_select(_uniform_data(rng, 20), [1.0, 2.0, 3.0], floor=floor)
-
-
-@pytest.mark.parametrize("floor", _BAD_FLOORS)
-def test_loo_score_rejects_bad_density_floor(floor):
-    rng = np.random.default_rng(31)
-    with pytest.raises(ValueError, match="density floor must be positive"):
-        loo_score(_uniform_data(rng, 20), enumerate_lattice(1, 2.0), floor=floor)
-
-
-# on this design a floor of 0.5 is active, so a floor that is not passed on
-# moves the fit
-_ACTIVE_FLOOR = 0.5
-
-
 def _nontrivial_data():
     return generate(paper_model("normal", "nontrivial"), 300, np.random.default_rng(0))
 
@@ -239,27 +215,17 @@ def _assert_same_fit(fitted, expected):
 def test_select_and_fit_at_a_fixed_radius_skips_cv(radius):
     data = _nontrivial_data()
     # a fixed radius leaves the candidate grid unread
-    report, fitted = select_and_fit(data, [7.0], _ACTIVE_FLOOR, radius=radius)
+    report, fitted = select_and_fit(data, [7.0], radius=radius)
     assert report is None
-    _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, radius), _ACTIVE_FLOOR))
-    assert fitted.sigma_hat != fit(data, fitted.lattice).sigma_hat
+    _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, radius)))
 
 
 @pytest.mark.parametrize("radii", [None, [3.0, 1.0, 2.0]])
 def test_select_and_fit_fits_at_the_cv_radius(radii):
     data = _nontrivial_data()
-    report, fitted = select_and_fit(data, radii, _ACTIVE_FLOOR)
-    assert report == cv_select(data, radii, _ACTIVE_FLOOR)
-    assert report != cv_select(data, radii)
-    _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, report.chosen),
-                                 _ACTIVE_FLOOR))
-
-
-@pytest.mark.parametrize("floor", _BAD_FLOORS)
-def test_select_and_fit_rejects_bad_density_floor(floor):
-    rng = np.random.default_rng(31)
-    with pytest.raises(ValueError, match="density floor must be positive"):
-        select_and_fit(_uniform_data(rng, 20), [1.0, 2.0, 3.0], floor)
+    report, fitted = select_and_fit(data, radii)
+    assert report == cv_select(data, radii)
+    _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, report.chosen)))
 
 
 def test_select_and_fit_rejects_an_empty_grid():

@@ -355,6 +355,20 @@ class TestTestCommand:
         assert payload["error"] == "ValueError"
         assert "gaussian, student-t" in payload["message"]
 
+    def test_eleven_covariates_at_the_default_grid(self, tmp_path):
+        # the default grid reaches radius 2, whose 11-dimensional cube of
+        # 5**11 candidates was once refused although the ball holds 6,865
+        rng = np.random.default_rng(416)
+        x = rng.random((300, 11))
+        y = np.cos(2.0 * np.pi * x[:, 0]) + 0.3 * rng.standard_normal(300)
+        src, out = tmp_path / "d.csv", tmp_path / "r.json"
+        write_dataset_csv(Dataset(x=x, y=y), src)
+        assert main(["test", str(src), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n"] == 300
+        assert [r for r, _ in report["cv"]["candidates"]] == [1.0, 2.0]
+        assert isinstance(report["reject"], bool)
+
     def test_output_paths_checked_before_compute(self, tmp_path):
         src = tmp_path / "d.csv"
         rng = np.random.default_rng(411)
@@ -556,6 +570,11 @@ def test_scan_grid_is_not_an_option(tmp_path, capsys):
     ["test", "d.csv", "--seed", "3"],
     ["image", "i.pgm", "--seed", "3"],
     ["simulate", "--null", "student-t"],
+    # the density clamp is a fixed constant, not an option
+    ["test", "d.csv", "--floor", "0.05"],
+    ["estimate", "d.csv", "--floor", "0.05"],
+    ["simulate", "--floor", "0.05"],
+    ["image", "i.pgm", "--floor", "0.05"],
 ])
 def test_flag_a_command_does_not_read_is_refused(capsys, argv):
     # simulate always tests the Gaussian null, estimate decides nothing and
@@ -677,10 +696,9 @@ def test_unwritable_error_record_is_reported(tmp_path, capsys):
     # an empty study once exited 0 with no rows
     (["simulate", "--n", ""], "at least one scenario and one sample size"),
     (["simulate", "--scenarios", ","], "at least one scenario and one sample size"),
-    # a floor of inf once exited 0 with every CV score equal to mean y**2
-    (["test", "{csv}", "--floor", "inf"], "density floor must be positive and below 1, got inf"),
-    (["estimate", "{csv}", "--radius", "2", "--floor", "1"],
-     "density floor must be positive and below 1, got 1.0"),
+    # the density clamp is a fixed constant, not a config key
+    (["test", "{csv}", "--config", "{floor_cfg}"], "unknown config key 'floor'"),
+    (["estimate", "{csv}", "--config", "{floor_cfg}"], "unknown config key 'floor'"),
     (["simulate", "--n", "30", "--reps", "1", "--workers", "0"],
      "workers must be at least 1, got 0"),
     (["simulate", "--n", "30", "--reps", "1", "--workers", "-2"],
@@ -692,9 +710,12 @@ def test_unwritable_error_record_is_reported(tmp_path, capsys):
 def test_configuration_errors_write_error_record(tmp_path, capsys, argv, message):
     cfg, csv, err = tmp_path / "bad.cfg", tmp_path / "d.csv", tmp_path / "e.json"
     cfg.write_text("bandwidth = 3\n")
+    floor_cfg = tmp_path / "floor.cfg"
+    floor_cfg.write_text("floor = 0.05\n")
     write_dataset_csv(generate(paper_model("normal", "uniform"), 40,
                                np.random.default_rng(415)), csv)
-    argv = [a.format(cfg=cfg, csv=csv) for a in argv] + ["--error-json", str(err)]
+    argv = [a.format(cfg=cfg, floor_cfg=floor_cfg, csv=csv) for a in argv]
+    argv += ["--error-json", str(err)]
     assert main(argv) == 1
     record = json.loads(err.read_text())
     assert record["error"] == "ValueError" and message in record["message"]

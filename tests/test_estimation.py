@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from indirgof.bandwidth import default_radius_grid, select_and_fit
 from indirgof.errors import DegenerateFitError
 from indirgof.estimation import (
+    DENSITY_FLOOR,
     Dataset,
     estimate_coeffs,
     estimate_density,
@@ -71,16 +72,11 @@ class TestDensityEstimate:
     def test_clamp_applies_floor(self):
         data = Dataset(x=[[0.0], [0.01]], y=[0.0, 0.0])
         lat = enumerate_lattice(1, 3)
-        dens = estimate_density(data, lat, floor=0.05)
+        dens = estimate_density(data, lat)
         # far from both points the raw Dirichlet sum is negative
         raw = _raw(dens, np.array([[0.5]]))[0]
-        assert raw < 0.05
-        assert dens.evaluate(np.array([[0.5]]))[0] == pytest.approx(0.05)
-
-    def test_floor_must_be_positive(self):
-        data = Dataset(x=[[0.5]], y=[1.0])
-        with pytest.raises(ValueError, match="floor"):
-            estimate_density(data, enumerate_lattice(1, 1), floor=0.0)
+        assert raw < DENSITY_FLOOR
+        assert dens.evaluate(np.array([[0.5]]))[0] == DENSITY_FLOOR
 
     def test_uniform_density_sup_error(self):
         # large uniform sample: the raw estimate hugs the constant 1

@@ -39,6 +39,15 @@ class TestEnumerateLattice:
         with pytest.raises(LatticeCapError, match="16088121"):
             enumerate_lattice(2, 2005)
 
+    @pytest.mark.parametrize("m, size", [(11, 6865), (12, 9993)])
+    def test_cap_counts_the_ball_not_the_cube(self, m, size):
+        # the cube of 5**m candidates is far over the cap; the ball is not
+        assert enumerate_lattice(m, 2).size == size
+
+    def test_cap_refuses_the_partial_ball_that_would_exceed_it(self):
+        with pytest.raises(LatticeCapError, match="129805"):
+            enumerate_lattice(16, 2)
+
     def test_memory_follows_the_ball_not_the_cube(self):
         # the (2*2 + 1)^8 = 390,625-candidate cube alone would take 25 MB
         tracemalloc.start()

@@ -1,3 +1,39 @@
+import re
+from pathlib import Path
+
+from indirgof.cli import _build_parser
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# documented in prose under the synopsis, for every command alike
+_PROSE_FLAGS = {"--config", "--error-json", "-h", "--help"}
+
+
 def test_strict_markers_enabled(pytestconfig):
     # a mistyped mark must fail at collection, not just warn
     assert pytestconfig.getini("strict_markers") is True
+
+
+def _readme_synopsis():
+    """Flags per command in the fenced block under README "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    flags, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("indirgof "):
+            command = line.split()[1]
+            flags[command] = set()
+        if command is not None:  # a continuation line belongs to the command above
+            flags[command] |= set(re.findall(r"--[a-z][a-z0-9-]*", line))
+            if "the `test` flags" in line:
+                flags[command] |= flags["test"]
+    return flags
+
+
+def test_readme_synopsis_matches_the_parser():
+    subparsers = next(a for a in _build_parser()._actions if a.choices)
+    registered = {
+        command: {s for a in parser._actions for s in a.option_strings} - _PROSE_FLAGS
+        for command, parser in subparsers.choices.items()
+    }
+    assert _readme_synopsis() == registered
