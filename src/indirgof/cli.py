@@ -25,6 +25,8 @@ from .simulation import COVARIATE_LAWS, PowerRow, paper_model, power_study
 
 REPORT_SCHEMA_VERSION = 4
 
+GRID_VALUES_LIMIT = 10**8  # most values the ``estimate`` grid's basis may hold (~1.2 GB)
+
 
 # ---------------------------------------------------------------------------
 # Variance stabilization
@@ -313,8 +315,13 @@ def _cmd_estimate(config):
         raise ValueError(f"--grid-points must be positive, got {config.grid_points}")
     data = load_csv(config.input)
     cv, fitted = select_and_fit(data, config.cv_grid, radius=config.radius)
-    axes = [np.linspace(0.0, 1.0, config.grid_points)] * data.m
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, data.m)
+    size, m, points = fitted.lattice.size, data.m, config.grid_points
+    if points**m * size > GRID_VALUES_LIMIT:
+        raise ValueError(f"--grid-points {points} with m={m} covariates and N={size} lattice "
+                         f"indices gives a {points}**{m} x {size} basis of {points**m * size} "
+                         f"values, above the limit of {GRID_VALUES_LIMIT}")
+    axes = [np.linspace(0.0, 1.0, points)] * m
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
     values = fitted.predict(mesh)
     out = config.out or "fitted_grid.csv"
     names = _covariate_names(data.m)

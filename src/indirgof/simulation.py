@@ -233,43 +233,24 @@ def run_single_rep(model, n, alpha, seed_key, cv_radii=None):
     return bool(decide(fitted, gaussian_null(), alpha).reject)
 
 
-def _loaded_openblas():
-    """ctypes handles of the OpenBLAS libraries mapped into this process.
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count getter and setter; ``None`` for another BLAS.
 
-    Read from ``/proc/self/maps``, so a BLAS that numpy has not loaded is
-    never touched; where that file does not exist the list is empty.
+    A symbol lookup on numpy's linear-algebra extension also searches the
+    libraries it links: the bundled scipy-openblas or a system OpenBLAS.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].rstrip() for line in fh})
-    except OSError:
-        return []
-    libs = []
-    for path in paths:
-        if "openblas" in os.path.basename(path):
-            try:
-                libs.append(ctypes.CDLL(path))
-            except OSError:  # the file was deleted or replaced since it was mapped
-                pass
-    return libs
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+        getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if getter is not None and setter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
 
 
-def _one_blas_thread():
-    """Pool initializer: run numpy's OpenBLAS on one thread in this worker.
-
-    The workers already keep the cores busy with whole repetitions, so BLAS
-    threads inside them only oversubscribe the cores.  numpy's wheels
-    bundle scipy-openblas, whose setter carries a ``scipy_`` prefix and a
-    ``64_`` suffix; a system OpenBLAS has the plain name; any other BLAS
-    is left as it is.
-    """
-    for lib in _loaded_openblas():
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
+_POOL_CHUNK = 4  # repetitions that one pool task runs in a row
 
 
 def _rep_task(args):
@@ -298,10 +279,10 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
     cv_radii : sequence, optional
         Override for the candidate radius grid (default: size-based).
     workers : int
-        Process count for parallel repetitions; 1 runs them serially.
-        Each pool start costs about 0.1 s (a worker that sets OpenBLAS to
-        one thread restarts its thread server, whose idle thread spins that
-        long), so ``workers > 1`` pays off for studies well above that.
+        Most processes for parallel repetitions; 1 runs them serially.  No
+        more start than CPUs or chunks of ``_POOL_CHUNK`` repetitions.  The
+        pool's workers inherit one OpenBLAS thread through fork: it is set
+        here while the pool runs, and the caller's count is restored after.
 
     Returns
     -------
@@ -323,8 +304,18 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         for r in range(reps)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            raw = list(pool.map(_rep_task, tasks, chunksize=4))
+        # Workers busy with whole repetitions inherit one BLAS thread through
+        # fork; more would only oversubscribe the cores.
+        get_threads, set_threads = _openblas_threads() or (lambda: None, lambda count: None)
+        threads = get_threads()
+        set_threads(1)
+        try:
+            # a fork pool starts all its processes at once: start no idle one
+            workers = min(workers, -(-len(tasks) // _POOL_CHUNK), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                raw = list(pool.map(_rep_task, tasks, chunksize=_POOL_CHUNK))
+        finally:
+            set_threads(threads)
     else:
         raw = [_rep_task(t) for t in tasks]
     rows = []

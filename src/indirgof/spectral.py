@@ -89,17 +89,18 @@ def enumerate_lattice(m, radius):
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     half = int(np.floor(radius))
-    # Grow the ball axis by axis in lexicographic order, never forming the
-    # cube: a partial vector goes once its integer squared norm passes radius^2.
-    values = np.arange(-half, half + 1, dtype=np.int64)
+    # Grow the ball axis by axis in lexicographic order, never forming the cube
+    # and checking the cap before each axis: a partial vector goes once its
+    # integer squared norm passes radius^2.
     ball, norms = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(m):
-        total = len(ball) * len(values)
+        total = len(ball) * (2 * half + 1)
         if total > LATTICE_CAP:
             raise LatticeCapError(
                 f"frequency lattice scan of {total} candidate indices "
                 f"(m={m}, radius={radius}) exceeds the cap of {LATTICE_CAP}"
             )
+        values = np.arange(-half, half + 1, dtype=np.int64)
         grown = norms[:, None] + values * values
         rows, cols = np.nonzero(grown <= radius * radius)
         ball, norms = np.column_stack([ball[rows], values[cols]]), grown[rows, cols]

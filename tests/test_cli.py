@@ -706,6 +706,8 @@ def test_unwritable_error_record_is_reported(tmp_path, capsys):
     # 0 once wrote a header-only grid, -3 failed in numpy naming no flag
     (["estimate", "{csv}", "--grid-points", "0"], "--grid-points must be positive, got 0"),
     (["estimate", "{csv}", "--grid-points", "-3"], "--grid-points must be positive, got -3"),
+    # once an uncaught numpy allocation error of 74.5 GiB, with no error record
+    (["estimate", "{csv}", "--grid-points", "100000"], "--grid-points 100000 with m=2"),
 ])
 def test_configuration_errors_write_error_record(tmp_path, capsys, argv, message):
     cfg, csv, err = tmp_path / "bad.cfg", tmp_path / "d.csv", tmp_path / "e.json"

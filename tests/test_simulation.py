@@ -1,7 +1,7 @@
-import ctypes
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -27,26 +27,21 @@ from helpers import identity_psi, poisson_count_image, rate_for, truncated_lapla
 
 SQRT2 = math.sqrt(2.0)
 
-_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
-
 
 def _blas_threads():
-    """Thread count of each loaded OpenBLAS that has a getter."""
-    counts = []
-    for lib in simulation._loaded_openblas():
-        for name in _BLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(getter())
-                break
-    return counts
+    """Thread count of numpy's OpenBLAS, or ``None`` for another BLAS."""
+    calls = simulation._openblas_threads()
+    return calls[0]() if calls else None
 
 
 def _rep_on_one_blas_thread(*args):
     """Stands in for a repetition: "rejects" when this process runs BLAS on one thread."""
-    counts = _blas_threads()
-    return bool(counts) and all(c == 1 for c in counts)
+    return _blas_threads() == 1
+
+
+def _rep_on_one_os_thread(*args):
+    """Stands in for a repetition: "rejects" when this process runs one OS thread."""
+    return len(os.listdir("/proc/self/task")) == 1
 
 
 class TestCovariateLaw:
@@ -258,11 +253,64 @@ class TestPowerStudy:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stand-in repetition reaches the workers only by fork")
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
-        if not _blas_threads():
+        if _blas_threads() is None:
             pytest.skip("numpy's BLAS is not an OpenBLAS with a thread getter")
         monkeypatch.setattr(simulation, "run_single_rep", _rep_on_one_blas_thread)
         row = power_study([paper_model()], [30], reps=8, workers=2).rows[0]
         assert (row.rejections, row.failures) == (8, 0)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork"
+                        or not os.path.isdir("/proc/self/task"),
+                        reason="needs fork workers and a per-process thread list")
+    def test_pool_workers_run_one_os_thread(self, monkeypatch):
+        # a worker that restarted OpenBLAS's thread server ran a second, spinning thread
+        monkeypatch.setattr(simulation, "run_single_rep", _rep_on_one_os_thread)
+        row = power_study([paper_model()], [30], reps=8, workers=2).rows[0]
+        assert (row.rejections, row.failures) == (8, 0)
+
+    def test_pool_starts_no_idle_worker(self, monkeypatch):
+        # a fork pool starts all max_workers processes at once, busy or not
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(simulation, "run_single_rep", lambda *args: False)
+        power_study([paper_model()], [30], reps=5, workers=64)
+        assert sizes == [2]  # five repetitions make two chunks
+
+    def test_pool_leaves_nothing_running(self):
+        calls = simulation._openblas_threads()
+        caller = _blas_threads()
+        if calls:
+            calls[1](2)  # a count that a pool left at one thread would show
+
+        def assert_nothing_left():
+            assert multiprocessing.active_children() == []
+            assert _blas_threads() == (2 if calls else None)
+
+        try:
+            power_study([paper_model()], [30], reps=2, workers=2)
+            assert_nothing_left()
+            # generate's ValueError is raised in a worker and comes out of the pool
+            with pytest.raises(ValueError, match="sample size must be positive"):
+                power_study([paper_model()], [0], reps=2, workers=2)
+            assert_nothing_left()
+        finally:
+            if calls:
+                calls[1](caller)
 
     def test_failures_reported_not_dropped(self):
         model = paper_model("normal", "uniform")

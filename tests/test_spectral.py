@@ -59,6 +59,22 @@ class TestEnumerateLattice:
         assert len(lat.indices) == 856
         assert peak < 5e6
 
+    def test_cap_is_checked_before_the_axis_values_are_formed(self):
+        # the 2,000,001 axis values alone once took 16 MB before the refusal
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeCapError, match="2000001 candidate"):
+                enumerate_lattice(2, 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_astronomical_radius_hits_the_cap(self):
+        # once numpy's "Maximum allowed size exceeded", naming neither cap nor radius
+        with pytest.raises(LatticeCapError, match=r"radius=1e\+300\) exceeds the cap"):
+            enumerate_lattice(2, 1e300)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_lattice(0, 1.0)
