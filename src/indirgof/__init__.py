@@ -11,12 +11,7 @@ from .errors import (
     QuadratureError,
     SingularMatrixError,
 )
-from .estimation import (
-    Dataset,
-    DensityEstimate,
-    RegressionFit,
-    fit,
-)
+from .estimation import Dataset, RegressionFit, fit
 from .khmaladze import (
     ProcessTrace,
     TestReport,

@@ -2,14 +2,16 @@
 
 Both estimates are series in the real basis Z(x) of the lattice
 (:meth:`FreqLattice.basis`), whose products give the Dirichlet kernel,
-W(x - x') = 1 + Z(x).Z(x').  The covariate density estimate
+W(x - x') = 1 + Z(x).Z(x').  :func:`fit` builds Z once at the sample points
+and runs two steps on it.  :func:`estimate_density` gives the covariate
+density estimate at those points,
 
-    g_hat(x) = 1 + Z(x).mean_j Z(x_j)
+    g_hat(x_i) = 1 + Z(x_i).mean_j Z(x_j),
 
-is clamped below at the constant :data:`DENSITY_FLOOR` because the Dirichlet
+clamped below at the constant :data:`DENSITY_FLOOR` because the Dirichlet
 kernel oscillates and the raw estimate can dip to zero or below in small
-samples.
-With u_j = y_j / g_hat(x_j), the distorted regression surface is
+samples.  With u_j = y_j / g_hat(x_j), :func:`estimate_coeffs` gives the
+coefficients of the distorted regression surface
 
     fitted(x) = mean_j u_j + Z(x).mean_j u_j Z(x_j) = mean_j u_j W(x - x_j).
 
@@ -65,53 +67,28 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Fourier-series covariate density estimate with a lower clamp.
+def estimate_density(basis):
+    """Clamped density estimate at the rows of the sample's basis, shape (n, N - 1)."""
+    return np.maximum(1.0 + basis @ basis.mean(axis=0), DENSITY_FLOOR)
 
-    ``coeffs`` is the sample mean of the lattice basis over the covariates
-    and the estimate is ``1 + basis(x) @ coeffs``; the constant term is
-    exactly 1, so the raw estimate integrates to one over the unit cube.
-    Evaluation clamps below at :data:`DENSITY_FLOOR`.
+
+def estimate_coeffs(basis, y, density):
+    """Coefficients ``(mean(u), u @ basis / n)`` of the regression, ``u = y / density``.
+
+    The clamped density keeps every divisor above zero.  In complex form the
+    coefficient of the i-th stored index k is ``(c[2i] - 1j c[2i + 1]) / sqrt(2)``
+    for ``c`` the second value, and that of -k is its conjugate.
     """
-
-    lattice: FreqLattice
-    coeffs: np.ndarray = field(repr=False)
-
-    def evaluate(self, x):
-        """Clamped density at the points ``x``, one value per row."""
-        return np.maximum(1.0 + self.lattice.basis(x) @ self.coeffs, DENSITY_FLOOR)
-
-
-def estimate_density(data, lattice):
-    """Estimate the covariate density of ``data`` by Fourier smoothing on ``lattice``."""
-    return DensityEstimate(lattice, lattice.basis(data.x).mean(axis=0))
-
-
-def _series_coeffs(z, ratios):
-    """Coefficients ``(mean(u), mean(u_j Z_j))`` of the regression series."""
-    return np.concatenate(([np.mean(ratios)], ratios @ z / len(ratios)))
-
-
-def estimate_coeffs(data, density, lattice):
-    """Estimate the real Fourier coefficients of the distorted regression.
-
-    Returns ``c`` of length N with ``c[0] = (1/n) sum_j u_j`` and
-    ``c[1:] = (1/n) sum_j u_j basis(x_j)``, where ``u_j = y_j / g_hat(x_j)``
-    uses the clamped density, so no term divides by a value at or
-    below zero.  In complex form the coefficient of the i-th stored index k
-    has real part ``c[2i + 1] / sqrt(2)`` and imaginary part
-    ``-c[2i + 2] / sqrt(2)``; that of -k is its conjugate.
-    """
-    return _series_coeffs(lattice.basis(data.x), data.y / density.evaluate(data.x))
+    u = y / density
+    return np.mean(u), u @ basis / len(u)
 
 
 @dataclass(frozen=True)
 class RegressionFit:
     """Fitted regression surface and its residuals.
 
-    The surface is ``coeffs[0] + basis(x) @ coeffs[1:]`` with the
-    coefficients of :func:`estimate_coeffs`.  ``sigma_hat`` is the root
+    The surface is ``coeffs[0] + basis(x) @ coeffs[1:]``, the two values of
+    :func:`estimate_coeffs` joined.  ``sigma_hat`` is the root
     mean square of the residuals and ``z`` the standardized residuals, both
     arrays in data order; their empirical law belongs to the test
     (:mod:`indirgof.khmaladze`).
@@ -155,9 +132,8 @@ def fit(data, lattice):
     e = response_exponent(data.y)
     y = np.ldexp(data.y, -e)
     basis = lattice.basis(data.x)
-    density = np.maximum(1.0 + basis @ basis.mean(axis=0), DENSITY_FLOOR)
-    coeffs = _series_coeffs(basis, y / density)
-    residuals = y - (coeffs[0] + basis @ coeffs[1:])
+    const, coeffs = estimate_coeffs(basis, y, estimate_density(basis))
+    residuals = y - (const + basis @ coeffs)
     sigma = float(np.sqrt(np.mean(residuals**2)))
     if sigma <= 1e-13 * np.max(np.abs(y)):
         raise DegenerateFitError(
@@ -166,7 +142,7 @@ def fit(data, lattice):
         )
     return RegressionFit(
         lattice=lattice,
-        coeffs=np.ldexp(coeffs, e),
+        coeffs=np.ldexp(np.concatenate(([const], coeffs)), e),
         residuals=np.ldexp(residuals, e),
         sigma_hat=float(np.ldexp(sigma, e)),
         z=residuals / sigma,

@@ -280,7 +280,8 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         Override for the candidate radius grid (default: size-based).
     workers : int
         Most processes for parallel repetitions; 1 runs them serially.  No
-        more start than CPUs or chunks of ``_POOL_CHUNK`` repetitions.  The
+        more start than CPUs or chunks of ``_POOL_CHUNK`` repetitions, and
+        the repetitions run serially when that leaves one.  The
         pool's workers inherit one OpenBLAS thread through fork: it is set
         here while the pool runs, and the caller's count is restored after.
 
@@ -303,6 +304,9 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         for ci, (model, n) in enumerate(cells)
         for r in range(reps)
     ]
+    # a fork pool starts all its processes at once: start no idle one, and a
+    # pool of one only costs its start over the serial loop
+    workers = min(workers, -(-len(tasks) // _POOL_CHUNK), os.cpu_count() or 1)
     if workers > 1:
         # Workers busy with whole repetitions inherit one BLAS thread through
         # fork; more would only oversubscribe the cores.
@@ -310,8 +314,6 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         threads = get_threads()
         set_threads(1)
         try:
-            # a fork pool starts all its processes at once: start no idle one
-            workers = min(workers, -(-len(tasks) // _POOL_CHUNK), os.cpu_count() or 1)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 raw = list(pool.map(_rep_task, tasks, chunksize=_POOL_CHUNK))
         finally:

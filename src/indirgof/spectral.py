@@ -96,8 +96,10 @@ def enumerate_lattice(m, radius):
     for _ in range(m):
         total = len(ball) * (2 * half + 1)
         if total > LATTICE_CAP:
+            from decimal import Decimal  # rounds an int past the float range
+
             raise LatticeCapError(
-                f"frequency lattice scan of {total} candidate indices "
+                f"frequency lattice scan of {Decimal(total):.4g} candidate indices "
                 f"(m={m}, radius={radius}) exceeds the cap of {LATTICE_CAP}"
             )
         values = np.arange(-half, half + 1, dtype=np.int64)

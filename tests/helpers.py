@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.special import ndtr
 
-from indirgof.estimation import DENSITY_FLOOR, Dataset, estimate_coeffs, estimate_density
+from indirgof.estimation import DENSITY_FLOOR, estimate_coeffs, estimate_density
 from indirgof.nulls import gamma_closed_form_gaussian, score_h
 from indirgof.simulation import ktheta_true
 from indirgof.spectral import weight_matrix
@@ -133,11 +133,10 @@ def dense_loo_score(data, lattice):
 def refit_loo_prediction(data, lattice, j):
     """Leave-one-out prediction at x_j by a literal refit without row j."""
     keep = np.arange(data.n) != j
-    reduced = Dataset(x=data.x[keep], y=data.y[keep])
-    density = estimate_density(reduced, lattice)
-    c = estimate_coeffs(reduced, density, lattice)
+    basis = lattice.basis(data.x[keep])
+    const, c = estimate_coeffs(basis, data.y[keep], estimate_density(basis))
     ph = lattice.phases(data.x[j][None, :])[0]
-    return float(c[0] + np.sqrt(2.0) * (np.cos(ph) @ c[1::2] + np.sin(ph) @ c[2::2]))
+    return float(const + np.sqrt(2.0) * (np.cos(ph) @ c[0::2] + np.sin(ph) @ c[1::2]))
 
 
 def full_indices(lattice):

@@ -484,7 +484,7 @@ def test_test_command_prints_nothing(tmp_path, capfd, null):
     test_argv = ["test", str(src), "--null", null, "--out", str(tmp_path / "r.json"),
                  "--trace-out", str(tmp_path / "t.csv"),
                  "--qq-out", str(tmp_path / "q.csv")]
-    simulate_argv = ["simulate", "--n", "40", "--reps", "4", "--cv-grid", "1,2",
+    simulate_argv = ["simulate", "--n", "40", "--reps", "5", "--cv-grid", "1,2",
                      "--workers", "2", "--out", str(tmp_path / "s.csv"),
                      "--json-out", str(tmp_path / "s.json")]
     with warnings.catch_warnings():

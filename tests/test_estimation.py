@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from indirgof import estimation
 from indirgof.bandwidth import default_radius_grid, select_and_fit
 from indirgof.errors import DegenerateFitError
 from indirgof.estimation import (
@@ -43,51 +44,56 @@ class TestDataset:
             Dataset(x=[[0.5], [0.6]], y=[1.0])
 
 
-def _raw(dens, x):
-    """The density estimate at ``x`` before the clamp."""
-    return 1.0 + dens.lattice.basis(x) @ dens.coeffs
+def _raw(lattice, sample, x):
+    """The density series of ``sample`` at ``x``, before the clamp."""
+    return 1.0 + lattice.basis(x) @ lattice.basis(sample).mean(axis=0)
 
 
 class TestDensityEstimate:
     def test_single_point_at_origin(self):
-        data = Dataset(x=[[0.0]], y=[7.0])
-        lat = enumerate_lattice(1, 1)
-        dens = estimate_density(data, lat)
-        assert _raw(dens, np.array([[0.0]])) == pytest.approx([3.0])
+        # basis(0) = (sqrt(2), 0), so the series at the point is 1 + 2
+        basis = enumerate_lattice(1, 1).basis(np.array([[0.0]]))
+        assert estimate_density(basis) == pytest.approx([3.0])
 
     def test_zero_coefficient_exact_and_unit_integral(self):
         rng = np.random.default_rng(11)
-        data = Dataset(x=rng.random((50, 2)), y=rng.random(50))
+        x = rng.random((50, 2))
         lat = enumerate_lattice(2, 2)
-        dens = estimate_density(data, lat)
-        # the constant term is exactly 1; coeffs hold the rest of the series
-        assert dens.coeffs.shape == (lat.size - 1,)
-        assert_allclose(dens.coeffs, lat.basis(data.x).mean(axis=0), atol=1e-15)
-        # rectangle rule integrates the trigonometric polynomial exactly
+        basis = lat.basis(x)
+        # at the sample rows: the clamped series, which is the Dirichlet-kernel
+        # mean (1/n) sum_j W(x_i - x_j) of the weights
+        density = estimate_density(basis)
+        assert_array_equal(density, np.maximum(_raw(lat, x, x), DENSITY_FLOOR))
+        assert_allclose(density, np.maximum(weight_matrix(lat, x).mean(axis=1),
+                                            DENSITY_FLOOR), atol=1e-12)
+        # the constant term is exactly 1, so the rectangle rule, exact for the
+        # trigonometric polynomial, integrates the series to one
         grid = (np.arange(12) + 0.5) / 12
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        assert np.mean(_raw(dens, pts)) == pytest.approx(1.0, abs=1e-10)
+        assert np.mean(_raw(lat, x, pts)) == pytest.approx(1.0, abs=1e-10)
 
     def test_clamp_applies_floor(self):
-        data = Dataset(x=[[0.0], [0.01]], y=[0.0, 0.0])
+        # nine points near 0 and one at 0.5: there the radius-3 Dirichlet sum
+        # is W(0) = 7 from the point itself and about W(0.5) = -1 from the rest
+        x = np.array([[0.005 * j] for j in range(9)] + [[0.5]])
         lat = enumerate_lattice(1, 3)
-        dens = estimate_density(data, lat)
-        # far from both points the raw Dirichlet sum is negative
-        raw = _raw(dens, np.array([[0.5]]))[0]
-        assert raw < DENSITY_FLOOR
-        assert dens.evaluate(np.array([[0.5]]))[0] == DENSITY_FLOOR
+        raw = _raw(lat, x, x)
+        assert raw[-1] < DENSITY_FLOOR and np.all(raw[:-1] > DENSITY_FLOOR)
+        density = estimate_density(lat.basis(x))
+        assert density[-1] == DENSITY_FLOOR
+        assert_array_equal(density[:-1], raw[:-1])
 
     def test_uniform_density_sup_error(self):
         # large uniform sample: the raw estimate hugs the constant 1
         rng = np.random.default_rng(3)
-        data = Dataset(x=rng.random((10_000, 2)), y=np.zeros(10_000))
+        x = rng.random((10_000, 2))
         lat = enumerate_lattice(2, 3)
-        dens = estimate_density(data, lat)
         grid = np.linspace(0.0, 1.0, 41)
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        assert np.max(np.abs(_raw(dens, pts) - 1.0)) < 0.15
+        assert np.max(np.abs(_raw(lat, x, pts) - 1.0)) < 0.15
+        assert np.max(np.abs(estimate_density(lat.basis(x)) - 1.0)) < 0.15
 
 
 def _complex_coeffs(c):
@@ -96,22 +102,26 @@ def _complex_coeffs(c):
     return np.concatenate([c[:1], upper, np.conj(upper)])
 
 
+def _series(data, lattice):
+    """The two steps of :func:`fit`, joined as ``RegressionFit.coeffs`` holds them."""
+    basis = lattice.basis(data.x)
+    const, coeffs = estimate_coeffs(basis, data.y, estimate_density(basis))
+    return np.concatenate(([const], coeffs))
+
+
 class TestEstimateCoeffs:
     def test_single_point(self):
-        data = Dataset(x=[[0.0]], y=[4.2])
-        lat = enumerate_lattice(1, 1)
-        dens = estimate_density(data, lat)
-        coeffs = estimate_coeffs(data, dens, lat)
-        u = 4.2 / dens.evaluate(np.array([[0.0]]))[0]
+        basis = enumerate_lattice(1, 1).basis(np.array([[0.0]]))
+        const, coeffs = estimate_coeffs(basis, np.array([4.2]), np.array([3.0]))
+        u = 4.2 / 3.0
         # basis(0) = (sqrt(2), 0), so the complex rhat is u at k = -1, 0, 1
-        assert_allclose(coeffs, [u, np.sqrt(2.0) * u, 0.0], atol=1e-12)
+        assert const == pytest.approx(u, rel=1e-15)
+        assert_allclose(coeffs, [np.sqrt(2.0) * u, 0.0], atol=1e-12)
 
     def test_zero_response(self):
         rng = np.random.default_rng(13)
         data = Dataset(x=rng.random((25, 2)), y=np.zeros(25))
-        lat = enumerate_lattice(2, 1)
-        dens = estimate_density(data, lat)
-        assert_array_equal(estimate_coeffs(data, dens, lat), np.zeros(5))
+        assert_array_equal(_series(data, enumerate_lattice(2, 1)), np.zeros(5))
 
     def test_recovers_known_coefficients(self):
         # noiseless draw from the trigonometric regression distorted by
@@ -120,8 +130,7 @@ class TestEstimateCoeffs:
         rng = np.random.default_rng(5)
         data = generate(model, 4000, rng)
         lat = enumerate_lattice(2, 3)
-        dens = estimate_density(data, lat)
-        rhat = _complex_coeffs(estimate_coeffs(data, dens, lat))
+        rhat = _complex_coeffs(_series(data, lat))
         for i, k in enumerate(full_indices(lat)):
             if np.linalg.norm(k) > 2:
                 continue
@@ -185,7 +194,7 @@ class TestFit:
         data = Dataset(x=rng.random((80, 2)), y=rng.normal(size=80))
         lat = enumerate_lattice(2, 2)
         f = fit(data, lat)
-        ratios = data.y / estimate_density(data, lat).evaluate(data.x)
+        ratios = data.y / estimate_density(lat.basis(data.x))
         direct = weight_matrix(lat, data.x) @ ratios / data.n
         assert_allclose(data.y - f.residuals, direct, atol=1e-9)
 
@@ -208,6 +217,18 @@ class TestFit:
             f.predict(rng.random((4, m)))
             assert calls == [70, 4]
 
+    def test_fit_runs_the_hooked_steps_once(self, monkeypatch):
+        # fit looks both steps up through the module, where a tracer wraps them
+        calls = []
+        for name in ("estimate_density", "estimate_coeffs"):
+            step = getattr(estimation, name)
+            monkeypatch.setattr(estimation, name,
+                                lambda *args, _name=name, _step=step:
+                                calls.append(_name) or _step(*args))
+        rng = np.random.default_rng(20)
+        fit(Dataset(x=rng.random((50, 2)), y=rng.normal(size=50)), enumerate_lattice(2, 2))
+        assert calls == ["estimate_density", "estimate_coeffs"]
+
     def test_prediction_is_real(self):
         rng = np.random.default_rng(17)
         data = Dataset(x=rng.random((50, 1)), y=rng.normal(size=50))
@@ -226,7 +247,7 @@ class TestFit:
         f = fit(data, enumerate_lattice(2, 2))
         point = np.array([0.3, 0.6])
         assert f.predict(point).shape == (1,)
-        assert estimate_density(data, f.lattice).evaluate(point).shape == (1,)
+        assert estimate_density(f.lattice.basis(point)).shape == (1,)
         assert ktheta_true(paper_model("zero"), point).shape == (1,)
 
 

@@ -246,9 +246,10 @@ class TestPowerStudy:
                                workers=2)
         assert serial == parallel
         # failed repetitions are counted alike in the pool (to_dict: the rate is NaN)
-        serial = power_study([model], [30], reps=3, seed=4, cv_radii=[2500.0])
-        parallel = power_study([model], [30], reps=3, seed=4, cv_radii=[2500.0], workers=2)
-        assert serial.to_dict() == parallel.to_dict() and serial.rows[0].failures == 3
+        # (five repetitions make two chunks, so the pool does start)
+        serial = power_study([model], [30], reps=5, seed=4, cv_radii=[2500.0])
+        parallel = power_study([model], [30], reps=5, seed=4, cv_radii=[2500.0], workers=2)
+        assert serial.to_dict() == parallel.to_dict() and serial.rows[0].failures == 5
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stand-in repetition reaches the workers only by fork")
@@ -268,9 +269,10 @@ class TestPowerStudy:
         row = power_study([paper_model()], [30], reps=8, workers=2).rows[0]
         assert (row.rejections, row.failures) == (8, 0)
 
-    def test_pool_starts_no_idle_worker(self, monkeypatch):
-        # a fork pool starts all max_workers processes at once, busy or not
-        sizes = []
+    @staticmethod
+    def _in_process_pool(monkeypatch):
+        """Record each pool's size and the BLAS thread counts set; start no process."""
+        sizes, thread_counts = [], []
 
         class InProcessPool:
             def __init__(self, max_workers, **kwargs):
@@ -286,10 +288,25 @@ class TestPowerStudy:
                 return map(fn, tasks)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(simulation, "_openblas_threads",
+                            lambda: (lambda: 2, thread_counts.append))
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(simulation, "run_single_rep", lambda *args: False)
+        return sizes, thread_counts
+
+    def test_pool_starts_no_idle_worker(self, monkeypatch):
+        # a fork pool starts all max_workers processes at once, busy or not
+        sizes, thread_counts = self._in_process_pool(monkeypatch)
         power_study([paper_model()], [30], reps=5, workers=64)
         assert sizes == [2]  # five repetitions make two chunks
+        assert thread_counts == [1, 2]
+
+    def test_one_chunk_runs_serially(self, monkeypatch):
+        # a pool of one process was slower than the serial loop
+        sizes, thread_counts = self._in_process_pool(monkeypatch)
+        row = power_study([paper_model()], [30], reps=4, workers=2).rows[0]
+        assert (row.rejections, row.failures) == (0, 0)
+        assert sizes == [] and thread_counts == []
 
     def test_pool_leaves_nothing_running(self):
         calls = simulation._openblas_threads()
@@ -302,11 +319,12 @@ class TestPowerStudy:
             assert _blas_threads() == (2 if calls else None)
 
         try:
-            power_study([paper_model()], [30], reps=2, workers=2)
+            # five repetitions make two chunks, so the pool does start
+            power_study([paper_model()], [30], reps=5, workers=2)
             assert_nothing_left()
             # generate's ValueError is raised in a worker and comes out of the pool
             with pytest.raises(ValueError, match="sample size must be positive"):
-                power_study([paper_model()], [0], reps=2, workers=2)
+                power_study([paper_model()], [0], reps=5, workers=2)
             assert_nothing_left()
         finally:
             if calls:

@@ -37,3 +37,11 @@ def test_readme_synopsis_matches_the_parser():
         for command, parser in subparsers.choices.items()
     }
     assert _readme_synopsis() == registered
+
+
+def test_readme_layout_lists_every_module():
+    section = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1]
+    block = section.split("```", 2)[1]
+    named = set(re.findall(r"^\s+(\w+\.py)\s", block, flags=re.MULTILINE))
+    modules = {p.name for p in (README.parent / "src" / "indirgof").glob("*.py")}
+    assert modules - {"__init__.py"} <= named
