@@ -3,6 +3,7 @@ asymptotically distribution-free goodness-of-fit test for the error law."""
 
 from .bandwidth import CvReport, cv_select, default_radius_grid, select_and_fit
 from .errors import (
+    ConvergenceError,
     DataFormatError,
     DegenerateFitError,
     IndirgofError,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .estimation import DENSITY_FLOOR, fit, response_exponent
-from .spectral import enumerate_lattice
+from .spectral import enumerate_lattice, max_squared_norm
 
 _BLOCK_ROWS = 32
 
@@ -126,7 +126,7 @@ def cv_select(data, radii=None):
             raise ValueError(f"radius must be positive, got {radius}")
     lattice = enumerate_lattice(data.m, max(radii))
     norms = np.sum(lattice.indices**2, axis=1)
-    counts = np.searchsorted(norms, np.square(radii), side="right")
+    counts = np.searchsorted(norms, [max_squared_norm(r) for r in radii], side="right")
     prefixes, which = np.unique(2 * counts, return_inverse=True)
     zt = np.ascontiguousarray(lattice.basis(data.x).T)
     scaled, scores = _prefix_scores(data, zt, prefixes.tolist())

@@ -25,5 +25,9 @@ class QuadratureError(IndirgofError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
+class ConvergenceError(IndirgofError):
+    """An iterative evaluation of a distribution function did not converge."""
+
+
 class DataFormatError(IndirgofError):
     """An input file is malformed or violates the documented format."""

@@ -12,6 +12,7 @@ is the multivariate Dirichlet kernel of the sharp spectral cutoff: every
 index inside the radius carries weight 1, and W(x - x') = 1 + Z(x).Z(x').
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,22 @@ class FreqLattice:
         return z
 
 
+def max_squared_norm(radius):
+    """Largest integer J with ``math.sqrt(J) <= radius``.
+
+    An index k belongs to the lattice of ``radius`` when its integer squared
+    norm is at most J, so shell membership is decided on integers.  Comparing
+    with ``radius * radius`` instead drops a shell where the product rounds
+    below it, as at radius ``math.sqrt(3)``.
+    """
+    j = math.floor(radius * radius)
+    while math.sqrt(j + 1) <= radius:
+        j += 1
+    while math.sqrt(j) > radius:
+        j -= 1
+    return j
+
+
 def enumerate_lattice(m, radius):
     """Enumerate the integer frequency vectors with Euclidean norm <= radius.
 
@@ -91,7 +108,7 @@ def enumerate_lattice(m, radius):
     half = int(np.floor(radius))
     # Grow the ball axis by axis in lexicographic order, never forming the cube
     # and checking the cap before each axis: a partial vector goes once its
-    # integer squared norm passes radius^2.
+    # integer squared norm passes max_squared_norm(radius).
     ball, norms = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(m):
         total = len(ball) * (2 * half + 1)
@@ -104,7 +121,7 @@ def enumerate_lattice(m, radius):
             )
         values = np.arange(-half, half + 1, dtype=np.int64)
         grown = norms[:, None] + values * values
-        rows, cols = np.nonzero(grown <= radius * radius)
+        rows, cols = np.nonzero(grown <= max_squared_norm(radius))
         ball, norms = np.column_stack([ball[rows], values[cols]]), grown[rows, cols]
     # Of each pair +-k keep the lexicographically later: first nonzero entry > 0.
     upper = ball[np.arange(len(ball)), np.argmax(ball != 0, axis=1)] > 0

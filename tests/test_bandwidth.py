@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from indirgof import bandwidth
 from indirgof.bandwidth import cv_select, default_radius_grid, loo_score, select_and_fit
 from indirgof.errors import InsufficientDataError, LatticeCapError
 from indirgof.estimation import DENSITY_FLOOR, Dataset, fit
@@ -185,6 +187,25 @@ def test_blocked_pass_matches_dense_oracle_at_large_n(design):
         assert score == pytest.approx(
             dense_loo_score(data, enumerate_lattice(m, radius)), rel=1e-12, abs=0.0
         )
+
+
+@pytest.mark.parametrize("m, j_max", [(1, 200), (2, 200), (3, 200), (4, 100)])
+def test_cv_scores_the_lattice_the_fit_uses(m, j_max, monkeypatch):
+    # at radius sqrt(j) CV must score the row prefix that enumerate_lattice
+    # keeps, shell j included, which is the lattice the fit at that radius uses
+    scored = {}
+    real = bandwidth._prefix_scores
+
+    def spy(data, zt, prefixes):
+        result = real(data, zt, prefixes)
+        scored.update(zip(prefixes, result[1]))
+        return result
+
+    monkeypatch.setattr(bandwidth, "_prefix_scores", spy)
+    data = _uniform_data(np.random.default_rng(11), 16, m)
+    radii = [math.sqrt(j) for j in range(1, j_max + 1)]
+    for radius, score in cv_select(data, radii).candidates:
+        assert score == scored[2 * len(enumerate_lattice(m, radius).indices)], radius
 
 
 def test_candidates_keep_caller_order():

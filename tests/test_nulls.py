@@ -6,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
+from indirgof import nulls
+from indirgof.errors import ConvergenceError
 from indirgof.nulls import (
     student_t_null,
     check_fisher_information,
@@ -140,6 +142,72 @@ def test_quantile_round_trip(null_factory):
     null = null_factory()
     ps = np.linspace(0.001, 0.999, 499)
     assert np.max(np.abs(null.cdf(null.quantile(ps)) - ps)) < 1e-10
+
+
+class TestStudentTNull:
+    def test_quantile_edge_values(self):
+        # the Gaussian null's edges: -inf at 0, +inf at 1, NaN for NaN and outside [0, 1]
+        quantile = student_t_null().quantile
+        got = quantile(np.array([0.0, 1.0, np.nan, -0.1, 1.1, -np.inf, np.inf]))
+        assert_array_equal(got, [-np.inf, np.inf] + [np.nan] * 5)
+        assert quantile(0.0) == -np.inf and quantile(1.0) == np.inf
+        assert quantile(1e-300) < quantile(1e-200) < -1e30
+        assert math.isnan(quantile(np.nan)) and math.isnan(quantile(2.0))
+        assert quantile(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_lower_tail_quantile_round_trip(self):
+        null = student_t_null()
+        ps = np.logspace(-300.0, -6.0, 295)
+        q = null.quantile(ps)
+        assert_allclose(null.cdf(q), ps, rtol=1e-12, atol=0.0)
+        down_to_subnormal = null.quantile(np.logspace(-323.0, -6.0, 318))
+        assert np.all(np.isfinite(down_to_subnormal))
+        assert np.all(np.diff(down_to_subnormal) > 0.0)
+
+    def test_cdf_edge_values(self):
+        cdf = student_t_null().cdf
+        got = cdf(np.array([-np.inf, np.inf, 0.0, -0.0, -1e200, 1e200, np.nan]))
+        assert_array_equal(got, [0.0, 1.0, 0.5, 0.5, 0.0, 1.0, np.nan])
+
+    def test_continued_fraction_refuses_to_return_unconverged_values(self):
+        # b = 1e8 at z = 0.999 lies far outside the fraction's fast region
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            nulls._beta_cf([(0.5, 3.0), (0.5, 1e8)], np.array([0, 1, 0]),
+                           np.array([0.1, 0.999, 0.2]))
+
+    def test_continued_fraction_passes_nan_through(self):
+        got = nulls._beta_cf([(0.5, 3.0)], np.zeros(3, dtype=int), np.array([0.1, np.nan, 0.2]))
+        assert math.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+
+
+def _mp_t_sf(df, x):
+    """P(T_df > x) by 40-digit regularized incomplete beta functions."""
+    df, x = mpmath.mpf(df), mpmath.mpf(x)
+    if x < 0:
+        return 1 - _mp_t_sf(df, -x)
+    r = x * x / df
+    if r * (df + 2) > 3:
+        return mpmath.betainc(df / 2, 0.5, 0, 1 / (1 + r), regularized=True) / 2
+    return 0.5 - mpmath.betainc(0.5, df / 2, 0, r / (1 + r), regularized=True) / 2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("df, rel", [(2.5, 5e-14), (3.0, 5e-14), (6.0, 5e-14), (8.0, 5e-14),
+                                     (30.0, 5e-14), (1e3, 1e-10), (1e5, 1e-10)])
+def test_student_t_law_matches_high_precision_betainc(df, rel):
+    if df < 100.0:
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 801), [100.0, 1e3]])
+    else:  # mpmath's betainc fails where these tails fall far below a double
+        xs = np.linspace(-30.0, 30.0, 121)
+    with mpmath.workdps(40):
+        want = np.array([float(_mp_t_sf(df, x)) for x in xs])
+    assert_allclose(nulls._t_sf(df, xs), want, rtol=rel, atol=0.0)
+    # the unit-variance cdf at t = -x / scale is the same tail at -scale t
+    null, scale = student_t_null(df), math.sqrt(df / (df - 2.0))
+    ts = -xs / scale
+    with mpmath.workdps(40):
+        want = np.array([float(_mp_t_sf(df, -scale * t)) for t in ts])
+    assert_allclose(null.cdf(ts), want, rtol=rel, atol=0.0)
 
 
 def _mp_student_t_tail_matrix(df, t):

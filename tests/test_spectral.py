@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from indirgof.errors import LatticeCapError
-from indirgof.spectral import enumerate_lattice, weight_matrix
+from indirgof.spectral import enumerate_lattice, max_squared_norm, weight_matrix
 
 from helpers import brute_lattice_count, complex_weight_sum, full_indices, smoothing_weight
 
@@ -34,6 +35,22 @@ class TestEnumerateLattice:
     def test_brute_count_matches(self, m, radius):
         lat = enumerate_lattice(m, radius)
         assert lat.size == brute_lattice_count(m, radius, span=int(radius) + 1)
+
+    @pytest.mark.parametrize("m, j_max", [(1, 200), (2, 200), (3, 200), (4, 100)])
+    def test_radius_sqrt_j_keeps_shell_j(self, m, j_max):
+        # the double nearest sqrt(3) or sqrt(13) lies below it, and its square
+        # below 3 or 13; the shell must stay all the same
+        whole = enumerate_lattice(m, math.ceil(math.sqrt(j_max)))
+        norms = np.sum(whole.indices**2, axis=1)
+        for j in range(1, j_max + 1):
+            lat = enumerate_lattice(m, math.sqrt(j))
+            assert_array_equal(lat.indices, whole.indices[norms <= j], err_msg=f"j={j}")
+
+    def test_max_squared_norm_is_the_last_shell_inside(self):
+        for j in range(1, 5000):
+            for radius in (math.sqrt(j), np.nextafter(math.sqrt(j), 0.0)):
+                bound = max_squared_norm(radius)
+                assert math.sqrt(bound) <= radius < math.sqrt(bound + 1)
 
     def test_cap_exceeded_names_size(self):
         # the count is rounded to four digits: 16,088,121

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -45,3 +46,27 @@ def test_readme_layout_lists_every_module():
     named = set(re.findall(r"^\s+(\w+\.py)\s", block, flags=re.MULTILINE))
     modules = {p.name for p in (README.parent / "src" / "indirgof").glob("*.py")}
     assert modules - {"__init__.py"} <= named
+
+
+def _scipy_import_scopes():
+    """``module.function`` (``module.None`` at module level) of each scipy import in the package."""
+    scopes = set()
+    for path in sorted((README.parent / "src" / "indirgof").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = getattr(node, "name", None)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Import):
+                    names = [alias.name for alias in inner.names]
+                elif isinstance(inner, ast.ImportFrom) and not inner.level:
+                    names = [inner.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "scipy" for name in names):
+                    scopes.add(f"{path.stem}.{scope}")
+    return scopes
+
+
+def test_scipy_is_imported_only_by_the_reference_quadratures():
+    # a pipeline run loads no scipy module (tests/test_import_footprint.py)
+    assert _scipy_import_scopes() == {"khmaladze.gamma_quadrature",
+                                      "nulls.check_fisher_information"}
