@@ -128,7 +128,7 @@ def cv_select(data, radii=None):
     norms = np.sum(lattice.indices**2, axis=1)
     counts = np.searchsorted(norms, [max_squared_norm(r) for r in radii], side="right")
     prefixes, which = np.unique(2 * counts, return_inverse=True)
-    zt = np.ascontiguousarray(lattice.basis(data.x).T)
+    zt = lattice.basis(data.x).T  # C-contiguous, as the blocked pass reads it
     scaled, scores = _prefix_scores(data, zt, prefixes.tolist())
     scored = tuple((r, float(scores[k])) for r, k in zip(radii, which))
     chosen = min(zip(radii, which), key=lambda rk: (scaled[rk[1]], rk[0]))[0]

@@ -202,9 +202,10 @@ def transform(z, null):
     pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
 
     # The grid, then each jump (a residual at or below t0, where G0 is known)
-    # twice: its left limit and its value.  Plain ``unique`` keeps the sign
-    # of a tied zero, which ``return_index`` may flip.
-    jumps = np.unique(z[z <= t0])
+    # twice: its left limit and its value.  A tied run jumps once, at its
+    # first residual in sorted order, so a tied zero keeps that residual's
+    # sign (``np.unique``'s pick among tied zeros varies by numpy version).
+    jumps = z[(z <= t0) & np.concatenate([[True], z[1:] != z[:-1]])]
     below = np.searchsorted(z, jumps)
     upto = np.searchsorted(z, jumps, side="right")
     counts = np.concatenate([np.searchsorted(z, grid, side="right"), below, upto])

@@ -14,7 +14,6 @@ of :data:`ERROR_LAWS`.
 import ctypes
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -314,6 +313,8 @@ def power_study(scenarios, n_list, reps, alpha=0.05, seed=0, *,
         threads = get_threads()
         set_threads(1)
         try:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 raw = list(pool.map(_rep_task, tasks, chunksize=_POOL_CHUNK))
         finally:

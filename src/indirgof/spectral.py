@@ -49,24 +49,25 @@ class FreqLattice:
         return 2 * len(self.indices) + 1
 
     def phases(self, x):
-        """2*pi*k.x for every stored index, shape ``(P, H)``."""
+        """2*pi*k.x for every stored index, shape ``(P, H)``: the view of an (H, P) array."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        ph = x @ self.indices.T.astype(float)
-        ph *= TWO_PI  # in place: no second (P, H) temporary
-        return ph
+        ph = self.indices.astype(float) @ x.T
+        ph *= TWO_PI  # in place: no second (H, P) temporary
+        return ph.T
 
     def basis(self, x):
         """Real Fourier basis of the lattice, shape ``(P, N - 1)``.
 
         Columns ``2i`` and ``2i + 1`` hold sqrt(2) cos and sqrt(2) sin of the
-        phase of the i-th stored index.
+        phase of the i-th stored index.  The result is the view of a
+        C-contiguous (N - 1, P) array, so its transpose copies nothing.
         """
-        ph = self.phases(x)
-        z = np.empty((len(ph), 2 * ph.shape[1]))
-        np.cos(ph, out=z[:, 0::2])
-        np.sin(ph, out=z[:, 1::2])
+        ph = self.phases(x).T
+        z = np.empty((len(ph), 2, ph.shape[1]))
+        np.cos(ph, out=z[:, 0])
+        np.sin(ph, out=z[:, 1])
         z *= np.sqrt(2.0)
-        return z
+        return z.reshape(-1, ph.shape[1]).T
 
 
 def max_squared_norm(radius):

@@ -10,13 +10,23 @@ Newton steps for the quantile), so neither imports it.  Importing
 process and pool worker.  The pipeline needs none of them: Gamma is in
 closed form and the trapezoid sum is numpy.  Only the reference quadratures
 import ``scipy.integrate``, inside the function.
+
+Nor does a run load the process pool or numpy's masked arrays.
+``concurrent.futures.process`` brings ``multiprocessing`` with it, and only
+a pooled Monte-Carlo study starts a pool, so ``power_study`` imports it
+there.  ``np.unique`` imports ``numpy.ma`` on its first call, so the
+transform takes the distinct residuals by comparing sorted neighbours.
 """
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,21 +64,37 @@ run_test("student-t")
 """ + REPORT
 
 
-def _loaded(child, tmp_path, prefixes):
-    """Modules named by, or inside, ``prefixes`` that ``child`` has loaded when it ends."""
+#: Packages that no pipeline run needs, each with its submodules.
+UNUSED = ("scipy", "numpy.ma", "multiprocessing", "concurrent")
+
+
+@functools.cache
+def _loaded(child):
+    """Modules named by, or inside, :data:`UNUSED` that ``child`` has loaded when it ends."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", child, str(tmp_path), *prefixes],
-                          capture_output=True, text=True, env=env, timeout=120)
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run([sys.executable, "-c", child, tmp, *UNUSED],
+                              capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_gaussian_run_loads_no_scipy_module(tmp_path):
-    loaded = _loaded(GAUSSIAN_CHILD, tmp_path, ["scipy"])
+def _within(modules, prefixes):
+    return [m for m in modules if m in prefixes or m.startswith(tuple(p + "." for p in prefixes))]
+
+
+def test_gaussian_run_loads_no_scipy_module():
+    loaded = _within(_loaded(GAUSSIAN_CHILD), ["scipy"])
     assert loaded == [], f"{len(loaded)} modules loaded, first {loaded[:5]}"
 
 
-def test_student_t_run_loads_no_scipy_module(tmp_path):
-    loaded = _loaded(STUDENT_T_CHILD, tmp_path, ["scipy"])
+def test_student_t_run_loads_no_scipy_module():
+    loaded = _within(_loaded(STUDENT_T_CHILD), ["scipy"])
     assert loaded == [], f"{len(loaded)} modules loaded, first {loaded[:5]}"
+
+
+@pytest.mark.parametrize("child", [GAUSSIAN_CHILD, STUDENT_T_CHILD], ids=["gaussian", "student-t"])
+def test_run_loads_no_process_pool_or_masked_arrays(child):
+    loaded = _within(_loaded(child), ["numpy.ma", "multiprocessing", "concurrent"])
+    assert loaded == [], f"{len(loaded)} modules loaded: {loaded}"

@@ -342,7 +342,10 @@ class TestTransform:
                 comp = (pref_dot[idx] + np.einsum("ij,ij->i", g0_at(ts), suffix)) / n
                 return math.sqrt(n) * (idx / n - comp)
 
-            jumps = np.unique(z[z <= trace.t0])
+            # a tied run jumps at its first residual in sorted order, so a
+            # tied zero keeps that residual's sign
+            low = z[z <= trace.t0]
+            jumps = low[np.concatenate([[True], low[1:] != low[:-1]])]
             pts = np.concatenate([grid, jumps, jumps])
             vals = np.concatenate([interpolated(grid, "right"),
                                    interpolated(jumps, "left"),
@@ -352,6 +355,21 @@ class TestTransform:
             order = np.lexsort((is_left, pts))
             assert trace.eval_points.tobytes() == pts[order].tobytes()
             assert trace.values.tobytes() == vals[order].tobytes()
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_jumps_are_the_distinct_residuals(self, null_factory):
+        # The jumps equal np.unique's values; only the sign of a tied zero,
+        # which np.unique picks by numpy version, may differ.
+        null = null_factory()
+        z = np.round(null.quantile(np.random.default_rng(59).random(300)), 1)
+        trace = transform(z, null)
+        grid, _ = build_scan(null, trace.t0)
+        jumps = np.unique(z[z <= trace.t0])
+        expected = np.sort(np.concatenate([grid, jumps, jumps]))
+        assert len(trace.eval_points) == len(expected)
+        assert np.all(trace.eval_points == expected)
+        signs_differ = np.signbit(trace.eval_points) != np.signbit(expected)
+        assert np.all(expected[signs_differ] == 0.0)
 
     def test_trace_rejects_points_beyond_t0(self):
         with pytest.raises(ValueError, match="t0"):

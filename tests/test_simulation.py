@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -287,7 +288,8 @@ class TestPowerStudy:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+        # power_study imports the pool class where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(simulation, "_openblas_threads",
                             lambda: (lambda: 2, thread_counts.append))
         monkeypatch.setattr(simulation.os, "cpu_count", lambda: 64)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from indirgof import bandwidth
 from indirgof.errors import LatticeCapError
-from indirgof.spectral import enumerate_lattice, max_squared_norm, weight_matrix
+from indirgof.estimation import Dataset
+from indirgof.spectral import FreqLattice, enumerate_lattice, max_squared_norm, weight_matrix
 
 from helpers import brute_lattice_count, complex_weight_sum, full_indices, smoothing_weight
 
@@ -214,3 +216,41 @@ class TestBasis:
         ph = lat.phases(x)
         assert_allclose(z[:, 0::2], np.sqrt(2.0) * np.cos(ph), atol=1e-15)
         assert_allclose(z[:, 1::2], np.sqrt(2.0) * np.sin(ph), atol=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_transpose_is_c_contiguous(self, m):
+        # cross-validation reads the basis as (N - 1, n) rows
+        x = np.random.default_rng(30 + m).random((11, m))
+        z = enumerate_lattice(m, 2.5).basis(x)
+        assert z.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_interleaved_construction(self, m):
+        rng = np.random.default_rng(40 + m)
+        lat = enumerate_lattice(m, 3.0)
+        x = rng.random((57, m))
+        ph = 2.0 * np.pi * (x @ lat.indices.T)
+        expected = np.empty((len(x), lat.size - 1))
+        expected[:, 0::2] = np.sqrt(2.0) * np.cos(ph)
+        expected[:, 1::2] = np.sqrt(2.0) * np.sin(ph)
+        assert_allclose(lat.basis(x), expected, rtol=0, atol=1e-14)
+
+    def test_cv_reads_the_basis_without_a_copy(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        data = Dataset(x=rng.random((40, 2)), y=rng.standard_normal(40))
+        bases, read = [], []
+        basis, prefix_scores = FreqLattice.basis, bandwidth._prefix_scores
+
+        def kept_basis(lattice, x):
+            bases.append(basis(lattice, x))
+            return bases[-1]
+
+        def kept_scores(data, zt, prefixes):
+            read.append(zt)
+            return prefix_scores(data, zt, prefixes)
+
+        monkeypatch.setattr(FreqLattice, "basis", kept_basis)
+        monkeypatch.setattr(bandwidth, "_prefix_scores", kept_scores)
+        bandwidth.cv_select(data, [1.0, 2.0])
+        assert len(bases) == len(read) == 1
+        assert np.shares_memory(read[0], bases[0])

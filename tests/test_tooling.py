@@ -48,8 +48,8 @@ def test_readme_layout_lists_every_module():
     assert modules - {"__init__.py"} <= named
 
 
-def _scipy_import_scopes():
-    """``module.function`` (``module.None`` at module level) of each scipy import in the package."""
+def _import_scopes(*packages):
+    """``module.function`` (``module.None`` at module level) of each import of ``packages``."""
     scopes = set()
     for path in sorted((README.parent / "src" / "indirgof").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -61,12 +61,17 @@ def _scipy_import_scopes():
                     names = [inner.module]
                 else:
                     continue
-                if any(name.split(".")[0] == "scipy" for name in names):
+                if any(name.split(".")[0] in packages for name in names):
                     scopes.add(f"{path.stem}.{scope}")
     return scopes
 
 
 def test_scipy_is_imported_only_by_the_reference_quadratures():
     # a pipeline run loads no scipy module (tests/test_import_footprint.py)
-    assert _scipy_import_scopes() == {"khmaladze.gamma_quadrature",
-                                      "nulls.check_fisher_information"}
+    assert _import_scopes("scipy") == {"khmaladze.gamma_quadrature",
+                                       "nulls.check_fisher_information"}
+
+
+def test_process_pool_is_imported_only_where_a_study_starts_one():
+    # a run that starts no pool loads no multiprocessing (tests/test_import_footprint.py)
+    assert _import_scopes("concurrent", "multiprocessing") == {"simulation.power_study"}
