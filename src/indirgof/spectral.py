@@ -10,6 +10,12 @@ Z(x) = sqrt(2) (cos, sin)(2*pi*k.x) over one index of each pair +-k; a
 
 is the multivariate Dirichlet kernel of the sharp spectral cutoff: every
 index inside the radius carries weight 1, and W(x - x') = 1 + Z(x).Z(x').
+
+The basis makes no cos or sin call per (point, index) entry.  Each axis d
+has a table of e^(2 pi i j x_d) for j = 0..max|k_d|, built by repeated
+products from one complex exponential per point, and each index's column
+pair is the real and imaginary part of the product of one entry per axis
+(conjugated for a negative k_d).
 """
 
 import math
@@ -24,6 +30,11 @@ from .errors import LatticeCapError
 LATTICE_CAP = 100_000
 
 TWO_PI = 2.0 * np.pi
+
+#: Points per block of :meth:`FreqLattice.basis`, and complex values per row
+#: block within one.  Its temporaries, the block's per-axis tables and two
+#: buffers of at most 64 KiB, are bounded whatever the number of points.
+_BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -48,26 +59,70 @@ class FreqLattice:
         """Number N = 2 H + 1 of indices in the full lattice, zero included."""
         return 2 * len(self.indices) + 1
 
-    def phases(self, x):
-        """2*pi*k.x for every stored index, shape ``(P, H)``: the view of an (H, P) array."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ph = self.indices.astype(float) @ x.T
-        ph *= TWO_PI  # in place: no second (H, P) temporary
-        return ph.T
-
     def basis(self, x):
         """Real Fourier basis of the lattice, shape ``(P, N - 1)``.
 
-        Columns ``2i`` and ``2i + 1`` hold sqrt(2) cos and sqrt(2) sin of the
-        phase of the i-th stored index.  The result is the view of a
+        Columns ``2i`` and ``2i + 1`` hold sqrt(2) cos and sqrt(2) sin of
+        2*pi*k.x for the i-th stored index k.  The result is the view of a
         C-contiguous (N - 1, P) array, so its transpose copies nothing.
         """
-        ph = self.phases(x).T
-        z = np.empty((len(ph), 2, ph.shape[1]))
-        np.cos(ph, out=z[:, 0])
-        np.sin(ph, out=z[:, 1])
-        z *= np.sqrt(2.0)
-        return z.reshape(-1, ph.shape[1]).T
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        n_points, m = x.shape
+        if m != self.indices.shape[1]:
+            raise ValueError(f"x has {m} columns, but the lattice has m = {self.indices.shape[1]}")
+        negative = self.indices < 0
+        # not np.abs, whose integer loop would page in code no other step runs
+        powers = np.where(negative, -self.indices, self.indices)
+        z = np.empty((len(powers), 2, n_points))
+        for start in range(0, n_points, _BLOCK_VALUES):
+            cols = slice(start, start + _BLOCK_VALUES)
+            _fill_pairs(z[:, :, cols], x[cols], powers, negative)
+        return z.reshape(2 * len(powers), n_points).T
+
+
+def _fill_pairs(out, x, powers, negative):
+    """Write sqrt(2) (Re, Im) of prod_d e^(2 pi i k_d x_d) into ``out[i, 0]`` and ``out[i, 1]``.
+
+    The i-th index k is given as |k| (``powers[i]``) and the mask of its
+    entries below zero (``negative[i]``), whose table entries are conjugated.
+    Products are formed in row blocks of about :data:`_BLOCK_VALUES` values.
+    """
+    tables = _power_tables(x, powers.max(axis=0, initial=0))
+    signed = negative.any(axis=0)
+    rows = max(1, min(len(powers), _BLOCK_VALUES // len(x)))
+    buf = np.empty((2, rows, len(x)), dtype=complex)
+    for lo in range(0, len(powers), rows):
+        hi = min(lo + rows, len(powers))
+        prod, factor = buf[0, : hi - lo], buf[1, : hi - lo]
+        for d, table in enumerate(tables):
+            dest = factor if d else prod
+            np.take(table, powers[lo:hi, d], axis=0, out=dest, mode="clip")
+            if signed[d]:
+                np.conjugate(dest, out=dest, where=negative[lo:hi, d, None])
+            if d:
+                prod *= factor
+        np.multiply(prod.real, np.sqrt(2.0), out=out[lo:hi, 0])
+        np.multiply(prod.imag, np.sqrt(2.0), out=out[lo:hi, 1])
+
+
+def _power_tables(x, tops):
+    """Tables of e^(2 pi i j x_d), j = 0..tops[d], one ``(tops[d] + 1, P)`` array per axis d.
+
+    Each is built by repeated products from one exponential of x_d less its
+    nearest integer.  That difference is exact, and its phase, at most pi in
+    size, carries half the rounding error of 2 pi x_d.
+    """
+    turns = x - np.rint(x)
+    tables = []
+    for d, top in enumerate(tops):
+        table = np.empty((top + 1, len(x)), dtype=complex)
+        table[0] = 1.0
+        if top:
+            table[1] = np.exp(1j * TWO_PI * turns[:, d])
+        for j in range(2, top + 1):
+            np.multiply(table[j - 1], table[1], out=table[j])
+        tables.append(table)
+    return tables
 
 
 def max_squared_norm(radius):

@@ -5,7 +5,8 @@ to check: the transformed process is evaluated by a direct double sum
 with adaptive quadrature, the Brownian supremum law comes from the
 reflection (inclusion-exclusion) series, leave-one-out predictions
 come from literal refits on reduced datasets, leave-one-out scores from
-the full n x n weight matrix one radius at a time, and the smoothing
+the full n x n weight matrix one radius at a time, the basis's phases
+from one product of the points with the stored indices, and the smoothing
 weight function is a plain cosine sum over the full lattice, whose pairs
 +-k are built here from the one index of each that the lattice stores.  The
 study model's undistorted surface, a photon-count image drawn from it and a
@@ -135,8 +136,14 @@ def refit_loo_prediction(data, lattice, j):
     keep = np.arange(data.n) != j
     basis = lattice.basis(data.x[keep])
     const, c = estimate_coeffs(basis, data.y[keep], estimate_density(basis))
-    ph = lattice.phases(data.x[j][None, :])[0]
+    ph = phases(lattice, data.x[j][None, :])[0]
     return float(const + np.sqrt(2.0) * (np.cos(ph) @ c[0::2] + np.sin(ph) @ c[1::2]))
+
+
+def phases(lattice, x):
+    """2*pi*k.x for every stored index, shape ``(P, H)``: the direct phases of the basis."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return 2.0 * np.pi * (x @ lattice.indices.T)
 
 
 def full_indices(lattice):

@@ -198,24 +198,31 @@ class TestFit:
         direct = weight_matrix(lat, data.x) @ ratios / data.n
         assert_allclose(data.y - f.residuals, direct, atol=1e-9)
 
-    def test_fit_forms_phases_once(self, monkeypatch):
+    def test_fit_forms_the_basis_once(self, monkeypatch):
         calls = []
-        phases = FreqLattice.phases
+        basis = FreqLattice.basis
 
         def counted(lattice, x):
             calls.append(len(x))
-            return phases(lattice, x)
+            return basis(lattice, x)
 
-        monkeypatch.setattr(FreqLattice, "phases", counted)
+        monkeypatch.setattr(FreqLattice, "basis", counted)
         rng = np.random.default_rng(18)
         for m in (1, 2):
             data = Dataset(x=rng.random((70, m)), y=rng.normal(size=70))
             calls.clear()
             f = fit(data, enumerate_lattice(m, 2))
             assert calls == [70]
-            # evaluation elsewhere forms its own phases
+            # evaluation elsewhere forms its own basis
             f.predict(rng.random((4, m)))
             assert calls == [70, 4]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_predict_rejects_points_of_another_width(self, width):
+        rng = np.random.default_rng(21)
+        f = fit(Dataset(x=rng.random((40, 2)), y=rng.normal(size=40)), enumerate_lattice(2, 2))
+        with pytest.raises(ValueError, match=rf"x has {width} columns, but the lattice has m = 2"):
+            f.predict(rng.random((5, width)))
 
     def test_fit_runs_the_hooked_steps_once(self, monkeypatch):
         # fit looks both steps up through the module, where a tracer wraps them

@@ -7,12 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from indirgof import bandwidth
+from indirgof import bandwidth, spectral
 from indirgof.errors import LatticeCapError
 from indirgof.estimation import Dataset
 from indirgof.spectral import FreqLattice, enumerate_lattice, max_squared_norm, weight_matrix
 
-from helpers import brute_lattice_count, complex_weight_sum, full_indices, smoothing_weight
+from helpers import (
+    brute_lattice_count,
+    complex_weight_sum,
+    full_indices,
+    phases,
+    smoothing_weight,
+)
 
 
 class TestEnumerateLattice:
@@ -198,6 +204,16 @@ class TestWeightMatrix:
         assert_array_equal(mat, mat.T)
 
 
+def _long_double_basis(lattice, x):
+    """The basis from long-double phases, cosines and sines."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    ph = two_pi * (x.astype(np.longdouble) @ lattice.indices.T.astype(np.longdouble))
+    out = np.empty((len(x), lattice.size - 1), dtype=np.longdouble)
+    out[:, 0::2] = np.sqrt(np.longdouble(2)) * np.cos(ph)
+    out[:, 1::2] = np.sqrt(np.longdouble(2)) * np.sin(ph)
+    return out
+
+
 class TestBasis:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_products_give_weight_matrix(self, m):
@@ -213,7 +229,7 @@ class TestBasis:
         x = rng.random((5, 2))
         z = lat.basis(x)
         assert z.shape == (5, lat.size - 1) and z.dtype == np.float64
-        ph = lat.phases(x)
+        ph = phases(lat, x)
         assert_allclose(z[:, 0::2], np.sqrt(2.0) * np.cos(ph), atol=1e-15)
         assert_allclose(z[:, 1::2], np.sqrt(2.0) * np.sin(ph), atol=1e-15)
 
@@ -229,11 +245,60 @@ class TestBasis:
         rng = np.random.default_rng(40 + m)
         lat = enumerate_lattice(m, 3.0)
         x = rng.random((57, m))
-        ph = 2.0 * np.pi * (x @ lat.indices.T)
+        ph = phases(lat, x)
         expected = np.empty((len(x), lat.size - 1))
         expected[:, 0::2] = np.sqrt(2.0) * np.cos(ph)
         expected[:, 1::2] = np.sqrt(2.0) * np.sin(ph)
         assert_allclose(lat.basis(x), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "m, radius, bound",
+        [(1, 11, 1.5e-14), (2, 11, 1.5e-14), (3, 11, 1.5e-14), (12, 2, 1.5e-14),
+         (1, 40, 3e-14)],  # radius 40 at m = 1: the edge of --cv-grid 40
+    )
+    def test_matches_long_double_phases(self, m, radius, bound):
+        lat = enumerate_lattice(m, radius)
+        x = np.random.default_rng(60 + m).random((200 if m == 1 else 60, m))
+        assert np.max(np.abs(lat.basis(x) - _long_double_basis(lat, x))) <= bound
+
+    def test_empty_lattice_gives_no_columns(self):
+        # radius 0.5 holds only k = 0, which the fit's constant carries
+        x = np.random.default_rng(70).random((6, 2))
+        assert enumerate_lattice(2, 0.5).basis(x).shape == (6, 0)
+
+    def test_single_point_is_one_row(self):
+        lat = enumerate_lattice(3, 2.5)
+        point = np.random.default_rng(71).random(3)
+        z = lat.basis(point)
+        assert z.shape == (1, lat.size - 1)
+        assert np.max(np.abs(z - _long_double_basis(lat, point[None, :]))) <= 1.5e-14
+
+    @pytest.mark.parametrize("n_points", [700, spectral._BLOCK_VALUES + 3])
+    def test_row_blocks_that_do_not_divide_the_lattice(self, n_points):
+        # 700 points give row blocks of 5 over 56 indices; past one block's
+        # worth of points, the points split into blocks as well
+        lat = enumerate_lattice(2, 6)
+        x = np.random.default_rng(72).random((n_points, 2))
+        assert np.max(np.abs(lat.basis(x) - _long_double_basis(lat, x))) <= 1.5e-14
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_points_of_another_width(self, width):
+        x = np.random.default_rng(73).random((4, width))
+        with pytest.raises(ValueError, match=rf"x has {width} columns, but the lattice has m = 2"):
+            enumerate_lattice(2, 2).basis(x)
+
+    def test_peak_allocation_stays_under_the_direct_construction(self):
+        # cos and sin of an (H, P) phase matrix peaked at 2.75 MB here
+        lat = enumerate_lattice(2, 6)
+        x = np.random.default_rng(74).random((2000, 2))
+        tracemalloc.start()
+        try:
+            z = lat.basis(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.nbytes == 1_792_000
+        assert peak <= 2.75e6
 
     def test_cv_reads_the_basis_without_a_copy(self, monkeypatch):
         rng = np.random.default_rng(50)
