@@ -52,7 +52,7 @@ def gamma_quadrature(null, t, tol=1e-9):
     It integrates ``h(u) h(u)^T f(u)`` over ``(t, inf)`` to an absolute
     per-entry tolerance ``tol`` and symmetrizes the result by averaging.
     Raises :class:`QuadratureError` when the error estimate exceeds the
-    tolerance or the result is not finite.
+    tolerance or the result is not finite.  Needs scipy (the ``test`` extra).
     """
     from scipy.integrate import quad_vec  # local: no pipeline path loads scipy.integrate
 
@@ -133,9 +133,10 @@ def build_scan(null, t0):
     Only the two end matrices are decomposed unless that bound fails;
     then every point is checked and :class:`SingularMatrixError` names
     the first offending one.  Each point costs one closed-form 3x3
-    Cholesky solve.  The trapezoid sum repeats the numpy operations of
-    ``scipy.integrate.cumulative_trapezoid`` in order, so it matches it bit
-    for bit without importing it.
+    Cholesky solve, and f is read from Gamma's (0, 1) entry, the tail
+    integral of psi f = -f'.  The trapezoid sum repeats the numpy
+    operations of ``scipy.integrate.cumulative_trapezoid`` in order, so it
+    matches it bit for bit without importing it.
     """
     t0 = float(t0)
     if not np.isfinite(t0):
@@ -148,9 +149,7 @@ def build_scan(null, t0):
     grid = np.linspace(t_lo, t0, DEFAULT_SCAN_GRID)
     gam = null.tail_matrix(grid)
     _check_condition(grid, gam)
-    h = score_h(null, grid)
-    f = np.asarray(null.pdf(grid), dtype=float)
-    g = _solve_spd(gam, h) * f[:, None]
+    g = _solve_spd(gam, score_h(null, grid)) * gam[:, 0, 1, None]
     values = np.cumsum(np.diff(grid)[:, None] * (g[1:] + g[:-1]) / 2.0, axis=0)
     return grid, np.vstack([np.zeros(3), values])
 

@@ -10,9 +10,8 @@ augmented score
 collects the constant, location and scale score directions used by the
 martingale transform.  It never divides by the density, so it stays
 finite far beyond the point where the density underflows.  Finite Fisher
-information for location and scale is a documented precondition;
-:func:`check_fisher_information` probes it by quadrature and warns, but
-nothing in the test calls it.
+information for location and scale is a documented precondition, which
+:func:`check_fisher_information` probes by quadrature; no run calls it.
 
 The built-in nulls are the Gaussian and the unit-variance Student t, and
 neither imports anything from scipy.  The Gaussian law is built from the
@@ -57,7 +56,9 @@ class NullModel:
 
     ``location_score`` is psi = -f'/f in closed form.  ``tail_matrix``
     evaluates the tail information matrix on an array of points in closed
-    form, with shape ``t.shape + (3, 3)``.
+    form, with shape ``t.shape + (3, 3)``; its (0, 1) entry is f, by the
+    same expression as ``pdf``.  No run calls ``pdf``: only the reference
+    quadratures read it.
     """
 
     name: str
@@ -454,7 +455,7 @@ def check_fisher_information(null):
     Returns the value of ``integral (1 + t^2) psi^2 f dt`` and emits a
     warning when the quadrature fails to converge or the value is not
     finite.  Never raises: finiteness is a precondition of the theory,
-    not something this package enforces.
+    not something this package enforces.  Needs scipy (the ``test`` extra).
     """
     from scipy.integrate import quad  # local: no pipeline path loads scipy.integrate
 

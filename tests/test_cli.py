@@ -723,3 +723,14 @@ def test_configuration_errors_write_error_record(tmp_path, capsys, argv, message
     assert record["error"] == "ValueError" and message in record["message"]
     stdout, stderr = capsys.readouterr()
     assert stdout == "" and message in stderr
+
+
+@pytest.mark.parametrize("usage", [["--bogus"], ["--alpha", "abc"]])
+def test_usage_errors_exit_2_with_no_error_record(tmp_path, capsys, usage):
+    # argparse refuses the command line before any configuration is built
+    err = tmp_path / "e.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["test", str(tmp_path / "d.csv"), *usage, "--error-json", str(err)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not err.exists()

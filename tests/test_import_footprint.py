@@ -1,15 +1,18 @@
-"""No pipeline run loads a module from scipy.
+"""No pipeline run loads a module from scipy, and every command runs without it.
 
 ``scipy.special`` alone costs a process about a fifth of a second and some
 20 MB at start-up, since it loads numpy's lazy submodules with it.  The
 Gaussian null takes its law from ``math`` and ``statistics``, and the
 Student t null from ``math`` and numpy (a continued fraction for the tail,
-Newton steps for the quantile), so neither imports it.  Importing
+Halley steps for the quantile), so neither imports it.  Importing
 ``scipy.integrate`` pulls in ``scipy.optimize``, ``scipy.linalg`` and
 ``scipy.sparse``, a few hundred modules and tens of MB of memory in every
 process and pool worker.  The pipeline needs none of them: Gamma is in
 closed form and the trapezoid sum is numpy.  Only the reference quadratures
-import ``scipy.integrate``, inside the function.
+import ``scipy.integrate``, inside the function.  So scipy is no runtime
+dependency, only a ``test`` extra: with every scipy import refused, each
+command runs (a pooled study's forked workers inherit the refusal) and the
+references raise ``ImportError``.
 
 Nor does a run load the process pool or numpy's masked arrays.
 ``concurrent.futures.process`` brings ``multiprocessing`` with it, and only
@@ -64,6 +67,54 @@ run_test("student-t")
 """ + REPORT
 
 
+SCIPY_REFUSED_CHILD = """
+import os, sys
+
+
+class RefuseScipy:  # an import finder that acts as if scipy were not installed
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+""" + SETUP + """
+from indirgof.khmaladze import gamma_quadrature
+from indirgof.nulls import check_fisher_information, gaussian_null
+
+run_test("gaussian")
+run_test("student-t")
+for radius in ([], ["--radius", "2"]):
+    assert main(["estimate", f"{tmp}/d.csv", *radius, "--out", f"{tmp}/grid.csv",
+                 "--residuals-out", f"{tmp}/res.csv", "--data-out", f"{tmp}/data.csv"]) == 0
+for workers in ("1", "2"):
+    assert main(["simulate", "--n", "60", "--reps", "8", "--workers", workers,
+                 "--json-out", f"{tmp}/sim.json"]) == 0, workers
+    with open(f"{tmp}/sim.json") as table:
+        assert json.load(table)["rows"][0]["failures"] == 0, workers
+# the pool is imported where it starts, so it is loaded only if one started
+assert "concurrent.futures.process" in sys.modules or (os.cpu_count() or 1) < 2
+
+image = np.random.default_rng(5).poisson(40.0, (16, 16))
+with open(f"{tmp}/img.pgm", "wb") as pgm:
+    pgm.write(b"P5\\n16 16\\n255\\n" + image.astype(np.uint8).tobytes())
+np.savetxt(f"{tmp}/img.csv", image, delimiter=",")
+for path in (f"{tmp}/img.pgm", f"{tmp}/img.csv"):
+    assert main(["image", path, "--size", "16", "--out", f"{tmp}/img.json",
+                 "--fitted-out", f"{tmp}/recon.csv"]) == 0, path
+
+for reference, args in ((gamma_quadrature, (gaussian_null(), 0.0)),
+                        (check_fisher_information, (gaussian_null(),))):
+    try:
+        reference(*args)
+    except ImportError as exc:
+        assert "scipy" in str(exc), exc
+    else:
+        raise AssertionError(f"{reference.__name__} ran without scipy")
+""" + REPORT
+
+
 #: Packages that no pipeline run needs, each with its submodules.
 UNUSED = ("scipy", "numpy.ma", "multiprocessing", "concurrent")
 
@@ -98,3 +149,9 @@ def test_student_t_run_loads_no_scipy_module():
 def test_run_loads_no_process_pool_or_masked_arrays(child):
     loaded = _within(_loaded(child), ["numpy.ma", "multiprocessing", "concurrent"])
     assert loaded == [], f"{len(loaded)} modules loaded: {loaded}"
+
+
+def test_every_command_runs_with_scipy_refused():
+    # _loaded asserts that the child exited 0: every command and pool worker
+    # ran, and both references raised ImportError naming scipy
+    assert _within(_loaded(SCIPY_REFUSED_CHILD), ["scipy"]) == []

@@ -245,6 +245,15 @@ def test_student_t_tail_matrix_matches_high_precision_quadrature(df, rel):
             assert_allclose(got, ref, rtol=rel, atol=0.0)
 
 
+@pytest.mark.parametrize("null", [gaussian_null()]
+                         + [student_t_null(df) for df in (2.5, 6.0, 30.0, 1e5)],
+                         ids=lambda null: null.name)
+def test_tail_matrix_holds_the_density_exactly(null):
+    # build_scan reads f from Gamma_01 = integral_t^inf psi f = f(t), in place of pdf
+    ts = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-1e3, 1e3, null.quantile(1e-6)]])
+    assert np.array_equal(null.tail_matrix(ts)[..., 0, 1], null.pdf(ts))
+
+
 def test_student_t_df_domain():
     with pytest.raises(ValueError):
         student_t_null(2.0)
