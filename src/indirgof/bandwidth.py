@@ -11,9 +11,10 @@ lattice's real basis Z (:meth:`FreqLattice.basis`) is held as one
 C-contiguous (N - 1, n) array Z^T; its indices are sorted by norm, so each
 smaller lattice is a row prefix.  W_ij = 1 + Z_i.Z_j and rs costs
 O(nN).  Each block of 32 rows adds one shell per radius by one full-width
-product and sums its held-out terms while in cache, in O(32 n) working
-memory with no n x n matrix; W_jj is the lattice size N_r, so the i = j
-term is closed-form.  As |W_ij| <= N_r, a block whose rows all have
+product, written into the block's own buffer, and sums its held-out terms
+while in cache, in O(32 n) working memory allocated once per pass, with no
+n x n matrix; W_jj is the lattice size N_r, so the i = j term is
+closed-form.  As |W_ij| <= N_r, a block whose rows all have
 rs_i - N_r (1 + 1e-9) >= DENSITY_FLOOR (n - 1) skips the clamp, which cannot act.
 """
 
@@ -44,14 +45,19 @@ class CvReport:
 
 
 def default_radius_grid(n, m):
-    """Integer candidate radii 1..max(2, floor(n**(1/(2+m)))).
+    """Integer candidate radii 1..max(2, floor(n**(1/(2+m)))), the root taken exactly.
 
     The top radius grows as n**(1/(2+m)) but is never below 2, so for
     n < 3**(m+2) the grid is 1..2; in high dimension the radius-2 lattice
     can then exceed n (N = 1713 for m = 8 at n = 300 and at n = 2000).
     """
-    r_max = max(2, int(np.floor(n ** (1.0 / (2 + m)))))
-    return list(range(1, r_max + 1))
+    p = m + 2
+    r = round(n ** (1.0 / p))  # the float root can fall short at exact powers
+    while r**p > n:
+        r -= 1
+    while (r + 1) ** p <= n:
+        r += 1
+    return list(range(1, max(2, r) + 1))
 
 
 def _prefix_scores(data, zt, prefixes):
@@ -77,7 +83,7 @@ def _prefix_scores(data, zt, prefixes):
         w, tmp = w_rows[:rows.stop - start], tmp_rows[:rows.stop - start]
         w.fill(1.0)
         for r, (a, b) in enumerate(shells):
-            w += zt[a:b, rows].T @ zt[a:b]
+            w += np.matmul(zt[a:b, rows].T, zt[a:b], out=tmp)
             np.copyto(tmp, row_sums[r, rows, None])
             tmp -= w
             if clamp[r]:

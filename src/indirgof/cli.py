@@ -7,6 +7,7 @@ only, grid and residual exports), ``simulate`` (Monte-Carlo study) and
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -439,6 +440,7 @@ def _config_keys():
     return keys
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="indirgof",

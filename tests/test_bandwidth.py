@@ -132,6 +132,19 @@ def test_default_grid_shape():
     assert default_radius_grid(10, 4) == [1, 2]
 
 
+def test_default_grid_top_radius_is_the_exact_integer_root():
+    # the float root falls one short at some exact powers: 64 ** (1/3) is
+    # 3.9999999999999996, which once dropped radius 4 from the m = 1 grid
+    for m in range(1, 13):
+        for r in range(2, 41):
+            n = r ** (m + 2)
+            if n > 10**12:
+                break
+            assert default_radius_grid(n, m)[-1] == r, (n, m)
+            if r - 1 >= 2:
+                assert default_radius_grid(n - 1, m)[-1] == r - 1, (n - 1, m)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [3, 40, 257])
 def test_blocked_pass_matches_dense_oracle(m, n):
@@ -271,3 +284,24 @@ def test_peak_allocation_stays_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_blocked_pass_writes_products_into_its_buffer(monkeypatch):
+    # each block's shell product once took a fresh (32, n) array, 512 KB at
+    # n = 2000; written into the block's buffer, the pass peaks at about 1.52
+    # MB here against 1.75 MB before
+    peaks = []
+    real = bandwidth._prefix_scores
+
+    def traced(data, zt, prefixes):
+        tracemalloc.start()
+        try:
+            return real(data, zt, prefixes)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(bandwidth, "_prefix_scores", traced)
+    data = generate(paper_model("normal", "uniform"), 2000, np.random.default_rng(0))
+    cv_select(data, range(1, 7))
+    assert peaks[0] < 1.64e6

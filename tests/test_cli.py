@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,6 +554,42 @@ def test_every_json_record_is_strict(tmp_path, capsys, run_name, scale):
         assert record["rows"][0]["failures"] == 2 and record["rows"][0]["rate"] is None
     if run_name == "failure":
         assert record["error"] == "LatticeCapError"
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_main_calls_in_a_row_match_separate_calls(tmp_path, capsys):
+    # the one parser carries nothing from a call into the next: a flag set
+    # in one call and left out in the next reads as on a freshly built parser
+    src = _paper_csv(tmp_path / "d.csv")
+    out, grid = str(tmp_path / "r.json"), str(tmp_path / "g.csv")
+    runs = [
+        ["test", str(src), "--null", "student-t", "--alpha", "0.1", "--cv-grid", "1,2",
+         "--out", out],
+        ["test", str(src), "--out", out],
+        ["estimate", str(src), "--radius", "2", "--grid-points", "5", "--out", grid],
+        ["estimate", str(src), "--out", grid],
+        ["simulate", "--n", "30", "--reps", "2", "--cv-grid", "1,2", "--seed", "3"],
+        ["test", str(src), "--out", out],
+    ]
+
+    def results(fresh):
+        for argv in runs:
+            if fresh:
+                _build_parser.cache_clear()
+            config = build_config(_build_parser().parse_args(argv))
+            assert main(argv) == 0
+            files = [p for p in map(Path, (out, grid)) if p.exists()]
+            written = [(p.name, p.read_bytes()) for p in files]
+            for p in files:
+                p.unlink()
+            yield config, written, capsys.readouterr().out
+
+    in_a_row = list(results(fresh=False))
+    for expected, got in zip(results(fresh=True), in_a_row):
+        assert got == expected
 
 
 def test_scan_grid_is_not_an_option(tmp_path, capsys):
