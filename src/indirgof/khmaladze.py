@@ -36,6 +36,9 @@ DEFAULT_SCAN_GRID = 4096
 #: Condition-number guard for inverting Gamma on the scan grid.
 GAMMA_CONDITION_LIMIT = 1e12
 
+#: Absolute per-entry error bound of the reference quadrature :func:`gamma_quadrature`.
+_QUADRATURE_TOL = 1e-9
+
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -44,13 +47,13 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Tail information matrix
 # ---------------------------------------------------------------------------
 
-def gamma_quadrature(null, t, tol=1e-9):
+def gamma_quadrature(null, t):
     """Tail information matrix by adaptive quadrature: the reference.
 
     The transform uses each null's closed-form ``tail_matrix``; this
     independent quadrature is what those closed forms are checked against.
-    It integrates ``h(u) h(u)^T f(u)`` over ``(t, inf)`` to an absolute
-    per-entry tolerance ``tol`` and symmetrizes the result by averaging.
+    It integrates ``h(u) h(u)^T f(u)`` over ``(t, inf)`` to an absolute per-entry
+    tolerance ``_QUADRATURE_TOL`` (1e-9) and symmetrizes the result by averaging.
     Raises :class:`QuadratureError` when the error estimate exceeds the
     tolerance or the result is not finite.  Needs scipy (the ``test`` extra).
     """
@@ -64,8 +67,8 @@ def gamma_quadrature(null, t, tol=1e-9):
         return np.outer(h, h) * f
 
     result, err = quad_vec(integrand, float(t), np.inf,
-                           epsabs=tol * 1e-2, epsrel=1e-10)
-    if not np.all(np.isfinite(result)) or err > tol:
+                           epsabs=_QUADRATURE_TOL * 1e-2, epsrel=1e-10)
+    if not np.all(np.isfinite(result)) or err > _QUADRATURE_TOL:
         raise QuadratureError(
             f"tail information quadrature from t={t} for null "
             f"{null.name!r} failed (error estimate {err:.3e})"
@@ -318,12 +321,14 @@ def brownian_sup_log10_tail(q):
 
 @functools.lru_cache
 def brownian_sup_quantile(alpha):
-    """Upper alpha-quantile of sup |B| on [0, 1], accurate to 1e-6.
+    """Upper alpha-quantile of sup |B| on [0, 1]: the last double whose log10 tail exceeds log10 alpha.
 
-    Bisection of the log10 tail on (1e-6, 10], extending the bracket
-    upward for the rare alpha below the tail mass at 10; on the log scale
-    alpha below the underflow point of the tail keeps its quantile.  The
-    result depends on alpha alone, so it is cached per alpha.
+    A statistic exceeds it exactly when its :func:`brownian_sup_log10_tail` is at most
+    log10 alpha.  Bisection of the log10 tail on (1e-6, 10], its bracket extended upward
+    for the rare alpha below the tail mass at 10, runs until lo and hi are adjacent
+    doubles: until then their rounded midpoint lies strictly between them.  On the log
+    scale alpha below the underflow point of the tail keeps its quantile.  The result
+    depends on alpha alone, so it is cached per alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -331,13 +336,12 @@ def brownian_sup_quantile(alpha):
     lo, hi = 1e-6, 10.0
     while brownian_sup_log10_tail(hi) > log10_alpha and hi < 1e6:
         hi *= 2.0
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if brownian_sup_log10_tail(mid) > log10_alpha:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 @dataclass(frozen=True)

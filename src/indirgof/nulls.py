@@ -17,14 +17,14 @@ The built-in nulls are the Gaussian and the unit-variance Student t, and
 neither imports anything from scipy.  The Gaussian law is built from the
 standard library (``math.erfc`` and ``statistics.NormalDist``).  The Student
 t tail is one continued fraction of the incomplete beta function, evaluated
-in numpy, its normalising constant comes from ``math``, and its quantile
-takes Halley steps from Hill's closed-form approximation.  Both have smooth
-scores, so the tail information matrix of the transform stays
-invertible at every finite point, and both give that matrix in closed
-form.  A law whose location score is piecewise
-constant, such as the Laplace, makes that matrix singular beyond its kink
-and is not offered as a null; the Laplace remains an error law of the
-simulation study (see :data:`indirgof.simulation.ERROR_LAWS`).
+in numpy, its normalising constant comes from ``math``, and its inverse takes
+Halley steps from Hill's closed-form approximation.  Both laws are symmetric,
+so one routine turns either tail inverse into the quantile.  Both have smooth
+scores, so the tail information matrix of the transform stays invertible at
+every finite point, and both give that matrix in closed form.  A law whose
+location score is piecewise constant, such as the Laplace, makes that matrix
+singular beyond its kink and is not offered as a null; the Laplace remains an
+error law of the simulation study (see :data:`indirgof.simulation.ERROR_LAWS`).
 """
 
 import math
@@ -93,17 +93,31 @@ def _norm_cdf(t):
     return _norm_sf(-np.asarray(t, dtype=float))
 
 
-def _norm_quantile_at(p):
-    if 0.0 < p < 1.0:
-        return _STANDARD_NORMAL.inv_cdf(p)
-    if p == 0.0:
-        return -math.inf
-    return math.inf if p == 1.0 else math.nan
+def _norm_isf(tail):
+    """t >= 0 with Phibar(t) = ``tail`` in (0, 1/2], from ``NormalDist.inv_cdf``."""
+    return -_elementwise(_STANDARD_NORMAL.inv_cdf, tail)
 
 
-def _norm_quantile(p):
-    """Inverse of :func:`_norm_cdf`: -inf at 0, +inf at 1, NaN for NaN or p outside [0, 1]."""
-    return _elementwise(_norm_quantile_at, p)
+def _symmetric_quantile(isf, p, *args):
+    """Quantile of a law symmetric about 0 from its upper-tail inverse ``isf(*args, tail)``.
+
+    With tail = min(p, 1 - p), exact for p >= 1/2, it is copysign(isf(tail), p - 1/2):
+    -inf at 0 (and -0.0), +inf at 1, NaN for NaN or p outside [0, 1].  A scalar p
+    gives a float, cached per process: every scan starts at the 1e-6 quantile.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        return _symmetric_quantile_at(isf, float(p), *args)
+    tail = np.minimum(p, 1.0 - p)
+    inside = tail > 0.0
+    x = np.where(p == 0.0, -np.inf, np.where(p == 1.0, np.inf, np.nan))
+    x[inside] = np.copysign(isf(*args, tail[inside]), p[inside] - 0.5)
+    return x
+
+
+@lru_cache
+def _symmetric_quantile_at(isf, p, *args):
+    return float(_symmetric_quantile(isf, np.array([p]), *args)[0])
 
 
 def _symmetric(g00, g01, g02, g11, g12, g22):
@@ -134,15 +148,15 @@ def gaussian_null():
     """Standard normal null model.
 
     The cdf is ``math.erfc`` and the quantile ``statistics.NormalDist``'s
-    ``inv_cdf``, each applied element by element; they invert each other
-    well below the 1e-10 contract checked in the tests.
+    ``inv_cdf`` of min(p, 1 - p), signed by symmetry, each element by element;
+    they invert each other well below the 1e-10 contract checked in the tests.
     """
     return NullModel(
         name="gaussian",
         cdf=_norm_cdf,
         pdf=_norm_pdf,
         location_score=_norm_score,
-        quantile=_norm_quantile,
+        quantile=partial(_symmetric_quantile, _norm_isf),
         tail_matrix=gamma_closed_form_gaussian,
     )
 
@@ -279,7 +293,7 @@ def _t_hill(df, tail):
            + 0.5 / (df + 4.0)) * ys - 1.0) * (df + 1.0) / (df + 2.0) + 1.0 / ys
     x[series] = np.sqrt(df * ys)
     normal = y > 0.05 + a
-    u = _norm_quantile(tail[normal])
+    u = -_norm_isf(tail[normal])
     if df < 5.0:
         c = c + 0.3 * (df - 4.5) * (u + 0.6)
     c = (((0.05 * d * u - 5.0) * u - 7.0) * u - 2.0) * u + b + c
@@ -323,24 +337,6 @@ def _t_isf(df, tail):
     )
 
 
-def _t_raw_quantile(df, p):
-    """Inverse of the raw t_df cdf: -inf at 0, +inf at 1, NaN for NaN or p outside [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    tail = np.minimum(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
-    inside = tail > 0.0
-    x = np.full(p.shape, np.nan)
-    x[inside] = np.copysign(_t_isf(df, tail[inside]), p[inside] - 0.5)
-    x[p == 0.0] = -np.inf
-    x[p == 1.0] = np.inf
-    return x[()]
-
-
-@lru_cache
-def _t_raw_quantile_at(df, p):
-    """:func:`_t_raw_quantile` at one p, cached: every scan starts at the 1e-6 quantile."""
-    return float(_t_raw_quantile(df, p))
-
-
 def _t_cdf(df, scale, t):
     return _t_sf(df, -scale * np.asarray(t, dtype=float))
 
@@ -355,10 +351,7 @@ def _t_score(df, scale, t):
 
 
 def _t_quantile(df, scale, p):
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        return _t_raw_quantile_at(df, float(p)) / scale
-    return _t_raw_quantile(df, p) / scale
+    return _symmetric_quantile(_t_isf, p, df) / scale
 
 
 def _t_tail_matrix(df, scale, t):
@@ -414,7 +407,7 @@ def student_t_null(df=6.0):
         raise ValueError(f"degrees of freedom must exceed 2, got {df}")
     scale = _t_scale(df)
     return NullModel(
-        name=f"student-t({df:g})",
+        name=f"student-t({repr(float(df)).removesuffix('.0')})",
         cdf=partial(_t_cdf, df, scale),
         pdf=partial(_t_pdf, df, scale),
         location_score=partial(_t_score, df, scale),

@@ -462,11 +462,18 @@ class TestBrownianQuantiles:
         assert brownian_sup_tail(q) == float.fromhex(bits)
 
     @pytest.mark.parametrize("alpha, bits", [
-        (0.01, "0x1.674ce1b8ad8aap+1"), (0.05, "0x1.1ee648b225708p+1"),
-        (0.1, "0x1.f5c0331d2b659p+0"), (1e-12, "0x1.ce6b4d01ee67ap+2")])
+        (0.01, "0x1.674ce1ece6f24p+1"), (0.05, "0x1.1ee648d98743ap+1"),
+        (0.1, "0x1.f5c0328817930p+0"), (1e-12, "0x1.ce6b4d11351bep+2")])
     def test_quantile_values_frozen(self, alpha, bits):
         assert brownian_sup_quantile(alpha) == float.fromhex(bits)
         assert brownian_sup_quantile.__wrapped__(alpha) == float.fromhex(bits)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.25, 0.9999, 1e-10, 1e-320])
+    def test_quantile_is_the_last_double_above_alpha(self, alpha):
+        # reject (statistic > q) must agree with the printed p-value at every double
+        q = brownian_sup_quantile.__wrapped__(alpha)
+        assert (brownian_sup_log10_tail(q) > math.log10(alpha)
+                >= brownian_sup_log10_tail(math.nextafter(q, math.inf)))
 
     def test_quantile_cached_per_alpha(self):
         brownian_sup_quantile.cache_clear()
@@ -574,8 +581,7 @@ class TestDecide:
         data = generate(paper_model(error), n, np.random.default_rng(seed))
         report = decide(fit(data, enumerate_lattice(data.m, 1)), null, alpha)
         assert 0.0 <= report.p_value <= 1.0
-        if abs(report.statistic - report.q_alpha) > 1e-6:
-            assert (report.p_value < alpha) == report.reject
+        assert (report.log10_p_value <= math.log10(alpha)) == report.reject
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 80),

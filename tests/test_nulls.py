@@ -48,15 +48,6 @@ class TestGaussianNull:
             rel = np.abs(got[kept] - want[kept]) / want[kept]
             assert np.all(rel <= bound[kept]), float(np.max(rel / bound[kept]))
 
-    def test_quantile_edge_values(self):
-        # scipy's ndtri: -inf at 0, +inf at 1, NaN for NaN and outside [0, 1]
-        quantile = gaussian_null().quantile
-        got = quantile(np.array([0.0, 1.0, np.nan, -0.1, 1.1, -np.inf, np.inf]))
-        assert_array_equal(got, [-np.inf, np.inf] + [np.nan] * 5)
-        assert quantile(0.0) == -np.inf and quantile(1.0) == np.inf
-        assert math.isnan(quantile(np.nan)) and math.isnan(quantile(2.0))
-        assert quantile(np.zeros((2, 3))).shape == (2, 3)
-
     def test_quantile_round_trip_to_rounding(self):
         # q is a rounded double, so Phi(q) may move by q^2 * 1.1e-16 relative
         null = gaussian_null()
@@ -145,21 +136,12 @@ def test_quantile_round_trip(null_factory):
 
 
 class TestStudentTNull:
-    def test_quantile_edge_values(self):
-        # the Gaussian null's edges: -inf at 0, +inf at 1, NaN for NaN and outside [0, 1]
-        quantile = student_t_null().quantile
-        got = quantile(np.array([0.0, 1.0, np.nan, -0.1, 1.1, -np.inf, np.inf]))
-        assert_array_equal(got, [-np.inf, np.inf] + [np.nan] * 5)
-        assert quantile(0.0) == -np.inf and quantile(1.0) == np.inf
-        assert quantile(1e-300) < quantile(1e-200) < -1e30
-        assert math.isnan(quantile(np.nan)) and math.isnan(quantile(2.0))
-        assert quantile(np.zeros((2, 3))).shape == (2, 3)
-
     def test_lower_tail_quantile_round_trip(self):
         null = student_t_null()
         ps = np.logspace(-300.0, -6.0, 295)
         q = null.quantile(ps)
         assert_allclose(null.cdf(q), ps, rtol=1e-12, atol=0.0)
+        assert null.quantile(1e-200) < -1e30
         down_to_subnormal = null.quantile(np.logspace(-323.0, -6.0, 318))
         assert np.all(np.isfinite(down_to_subnormal))
         assert np.all(np.diff(down_to_subnormal) > 0.0)
@@ -252,6 +234,55 @@ def test_tail_matrix_holds_the_density_exactly(null):
     # build_scan reads f from Gamma_01 = integral_t^inf psi f = f(t), in place of pdf
     ts = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-1e3, 1e3, null.quantile(1e-6)]])
     assert np.array_equal(null.tail_matrix(ts)[..., 0, 1], null.pdf(ts))
+
+
+_NULLS = [gaussian_null(), student_t_null(), student_t_null(2.5)]
+
+
+@pytest.mark.parametrize("null", _NULLS, ids=lambda null: null.name)
+def test_quantile_edge_values(null):
+    # scipy's ndtri and t.ppf: -inf at 0 (and -0.0), +inf at 1, NaN for NaN and outside [0, 1]
+    quantile = null.quantile
+    got = quantile(np.array([0.0, -0.0, 1.0, np.nan, -0.1, 1.1, -np.inf, np.inf]))
+    assert_array_equal(got, [-np.inf, -np.inf, np.inf] + [np.nan] * 5)
+    assert quantile(0.0) == -np.inf and quantile(-0.0) == -np.inf and quantile(1.0) == np.inf
+    assert quantile(1e-300) < quantile(1e-200) < quantile(1e-6) < 0.0
+    assert math.isnan(quantile(np.nan)) and math.isnan(quantile(2.0))
+    assert quantile(np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("null", _NULLS, ids=lambda null: null.name)
+def test_quantile_is_odd_about_one_half(null):
+    # 1 - p is exact for p in (1/2, 1], so the quantile must flip its sign bit and no other
+    rng = np.random.default_rng(5)
+    p = np.concatenate([0.5 + 0.5 * rng.random(2000), 1.0 - np.logspace(-16.0, -0.31, 300),
+                        [np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0]])
+    p = p[p > 0.5]
+    assert np.all((1.0 - p) + p == 1.0)
+    lower, upper = null.quantile(1.0 - p), null.quantile(p)
+    assert_array_equal(lower.view(np.uint64), (-upper).view(np.uint64))
+    assert null.quantile(0.5) == 0.0
+
+
+@pytest.mark.parametrize("null", _NULLS, ids=lambda null: null.name)
+def test_scalar_quantile_is_a_float_equal_to_the_array_element(null):
+    ps = [1e-6, 0.5, 0.3, 0.97, 1.0 - 1e-6, 5e-324, 1e-300, 0.0, -0.0, 1.0, np.nan, 2.0]
+    whole = null.quantile(np.array(ps))
+    for p, want in zip(ps, whole):
+        for arg in (p, np.float64(p), np.array(p)):
+            got = null.quantile(arg)
+            assert type(got) is float
+            assert got == want or (math.isnan(got) and math.isnan(want)), (p, got, want)
+
+
+@pytest.mark.parametrize("df, name", [(6.0, "student-t(6)"), (6, "student-t(6)"),
+                                      (np.float64(6.0), "student-t(6)"), (2.5, "student-t(2.5)"),
+                                      (30.0, "student-t(30)"), (1e5, "student-t(100000)"),
+                                      (6.0000001, "student-t(6.0000001)"),
+                                      (2.0000000000000004, "student-t(2.0000000000000004)")])
+def test_student_t_name_keeps_every_digit(df, name):
+    # the report's null field and any cache keyed by name must tell distinct laws apart
+    assert student_t_null(df).name == name
 
 
 def test_student_t_df_domain():
