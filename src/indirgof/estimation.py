@@ -120,18 +120,21 @@ def response_exponent(y):
     return int(np.frexp(np.max(np.abs(y)))[1])
 
 
-def fit(data, lattice):
+def fit(data, lattice, basis=None):
     """Fit the Fourier-series regression and standardize its residuals.
 
     Fitted values at the data points come from the coefficient series,
     O(nN) for N lattice indices, computed on the responses scaled by
-    :func:`response_exponent`.  Raises :class:`DegenerateFitError` when the
-    residual scale vanishes relative to max|y|, since the error-distribution
-    test is undefined for an interpolating fit.
+    :func:`response_exponent`.  ``basis`` is ``lattice.basis(data.x)``,
+    formed here unless the caller already holds it.  Raises
+    :class:`DegenerateFitError` when the residual scale vanishes relative to
+    max|y|, since the error-distribution test is undefined for an
+    interpolating fit.
     """
     e = response_exponent(data.y)
     y = np.ldexp(data.y, -e)
-    basis = lattice.basis(data.x)
+    if basis is None:
+        basis = lattice.basis(data.x)
     const, coeffs = estimate_coeffs(basis, y, estimate_density(basis))
     residuals = y - (const + basis @ coeffs)
     sigma = float(np.sqrt(np.mean(residuals**2)))

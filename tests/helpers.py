@@ -6,7 +6,9 @@ with adaptive quadrature, the Brownian supremum law comes from the
 reflection (inclusion-exclusion) series, leave-one-out predictions
 come from literal refits on reduced datasets, leave-one-out scores from
 the full n x n weight matrix one radius at a time, the basis's phases
-from one product of the points with the stored indices, and the smoothing
+from one product of the points with the stored indices, the transformed
+process's step counts from one search of the residuals per evaluation
+point (on the production scan and score), and the smoothing
 weight function is a plain cosine sum over the full lattice, whose pairs
 +-k are built here from the one index of each that the lattice stores.  The
 study model's undistorted surface, a photon-count image drawn from it and a
@@ -106,6 +108,36 @@ def xi_production_at(z, null, t_points, sides):
         comp = (pref_dot[idx] + scan(np.array([t]))[0] @ (total_h - pref_h[idx])) / n
         out.append(math.sqrt(n) * (idx / n - comp))
     return np.array(out), t0
+
+
+def transform_by_search(z, null):
+    """``(eval_points, values, f_hat_t0)`` of :func:`indirgof.khmaladze.transform`, counted by search.
+
+    The same sums as the production transform, with the residuals at or
+    below each grid point counted by ``searchsorted(z, grid, side="right")``
+    and the prefix rows gathered by fancy indexing.
+    """
+    from indirgof.khmaladze import build_scan
+
+    z = np.sort(np.asarray(z, dtype=float).ravel())
+    n = len(z)
+    t0 = float(z[int(np.ceil(0.99 * n)) - 1])
+    grid, g0 = build_scan(null, t0)
+    h = score_h(null, z)
+    g_at_z = np.stack([np.interp(np.minimum(z, t0), grid, g0[:, c]) for c in range(3)], axis=-1)
+    pref_dot = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", g_at_z, h))])
+    pref_h = np.vstack([np.zeros(3), np.cumsum(h, axis=0)])
+    jumps = z[(z <= t0) & np.concatenate([[True], z[1:] != z[:-1]])]
+    below = np.searchsorted(z, jumps)
+    upto = np.searchsorted(z, jumps, side="right")
+    counts = np.concatenate([np.searchsorted(z, grid, side="right"), below, upto])
+    g_pts = np.concatenate([g0, g_at_z[below], g_at_z[below]])
+    suffix = pref_h[-1] - pref_h[counts]
+    comp = (pref_dot[counts] + np.einsum("ij,ij->i", g_pts, suffix)) / n
+    vals = math.sqrt(n) * (counts / n - comp)
+    pts = np.concatenate([grid, jumps, jumps])
+    order = np.lexsort((np.repeat([0, -1, 0], [len(grid), len(jumps), len(jumps)]), pts))
+    return pts[order], vals[order], float(counts[len(grid) - 1] / n)
 
 
 def oracle_points_for(z, t0, extra=23):

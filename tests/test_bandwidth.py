@@ -9,7 +9,7 @@ from indirgof.bandwidth import cv_select, default_radius_grid, loo_score, select
 from indirgof.errors import InsufficientDataError, LatticeCapError
 from indirgof.estimation import DENSITY_FLOOR, Dataset, fit
 from indirgof.simulation import generate, paper_model
-from indirgof.spectral import enumerate_lattice, weight_matrix
+from indirgof.spectral import FreqLattice, enumerate_lattice, weight_matrix
 
 from helpers import dense_loo_score, refit_loo_prediction
 
@@ -192,14 +192,17 @@ def test_blocked_pass_matches_dense_oracle_under_active_floor(m):
 def test_blocked_pass_matches_dense_oracle_at_large_n(design):
     # shell products this wide run on several BLAS threads; in the clustered
     # design the bound |W_ij| <= N skips the clamp in the dense half's row
-    # blocks while the sparse half's need it
-    n, m = 1000, 2
-    data = design(np.random.default_rng(34), n, m)
-    report = cv_select(data, [1, 2, 3, 4, 5])
-    for radius, score in report.candidates:
-        assert score == pytest.approx(
-            dense_loo_score(data, enumerate_lattice(m, radius)), rel=1e-12, abs=0.0
-        )
+    # blocks while the sparse half's need it.  Blocks hold 109, 46 and 32
+    # rows, and each n leaves a short last block.
+    m = 2
+    for n in (300, 700, 1000):
+        assert n % max(32, bandwidth._BLOCK_VALUES // n) != 0
+        data = design(np.random.default_rng(34), n, m)
+        report = cv_select(data, [1, 2, 3, 4, 5])
+        for radius, score in report.candidates:
+            assert score == pytest.approx(
+                dense_loo_score(data, enumerate_lattice(m, radius)), rel=1e-12, abs=0.0
+            ), (n, radius)
 
 
 @pytest.mark.parametrize("m, j_max", [(1, 200), (2, 200), (3, 200), (4, 100)])
@@ -262,6 +265,27 @@ def test_select_and_fit_fits_at_the_cv_radius(radii):
     _assert_same_fit(fitted, fit(data, enumerate_lattice(data.m, report.chosen)))
 
 
+@pytest.mark.parametrize("radius", [None, 2.5])
+def test_select_and_fit_forms_one_lattice_and_one_basis(radius, monkeypatch):
+    # the fit at the cross-validated radius reads the CV pass's lattice and
+    # basis instead of forming them a second time
+    counts = {"enumerate_lattice": 0, "basis": 0}
+    real_enumerate, real_basis = bandwidth.enumerate_lattice, FreqLattice.basis
+
+    def enumerate_spy(*args):
+        counts["enumerate_lattice"] += 1
+        return real_enumerate(*args)
+
+    def basis_spy(self, x):
+        counts["basis"] += 1
+        return real_basis(self, x)
+
+    monkeypatch.setattr(bandwidth, "enumerate_lattice", enumerate_spy)
+    monkeypatch.setattr(FreqLattice, "basis", basis_spy)
+    select_and_fit(_nontrivial_data(), radius=radius)
+    assert counts == {"enumerate_lattice": 1, "basis": 1}
+
+
 def test_select_and_fit_rejects_an_empty_grid():
     rng = np.random.default_rng(23)
     with pytest.raises(ValueError, match="empty"):
@@ -286,10 +310,18 @@ def test_peak_allocation_stays_linear_in_n():
     assert peak < 5e6
 
 
+@pytest.mark.parametrize("rows, n", [(1, 3), (32, 2000), (65, 500), (109, 300)])
+def test_block_buffers_start_on_a_cache_line(rows, n):
+    buf = bandwidth._cache_aligned(rows, n)
+    assert buf.shape == (rows, n) and buf.flags.c_contiguous
+    assert buf.ctypes.data % 64 == 0
+
+
 def test_blocked_pass_writes_products_into_its_buffer(monkeypatch):
     # each block's shell product once took a fresh (32, n) array, 512 KB at
     # n = 2000; written into the block's buffer, the pass peaks at about 1.52
-    # MB here against 1.75 MB before
+    # MB there against 1.75 MB before.  At n = 500 the blocks of 65 rows
+    # need 520 KB of buffers, and the pass stays below n = 2000's bound.
     peaks = []
     real = bandwidth._prefix_scores
 
@@ -302,6 +334,7 @@ def test_blocked_pass_writes_products_into_its_buffer(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(bandwidth, "_prefix_scores", traced)
-    data = generate(paper_model("normal", "uniform"), 2000, np.random.default_rng(0))
-    cv_select(data, range(1, 7))
-    assert peaks[0] < 1.64e6
+    for n in (500, 2000):
+        data = generate(paper_model("normal", "uniform"), n, np.random.default_rng(0))
+        cv_select(data, default_radius_grid(data.n, data.m))
+    assert peaks[0] < 1.64e6 and peaks[1] < 1.64e6

@@ -43,6 +43,7 @@ from helpers import (
     identity_psi,
     oracle_points_for,
     reflection_sup_cdf,
+    transform_by_search,
     xi_oracle,
     xi_production_at,
 )
@@ -355,6 +356,33 @@ class TestTransform:
             order = np.lexsort((is_left, pts))
             assert trace.eval_points.tobytes() == pts[order].tobytes()
             assert trace.values.tobytes() == vals[order].tobytes()
+
+    @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
+    def test_grid_counts_match_a_search_per_grid_point(self, null_factory):
+        # Residuals binned on the grid must count those at or below each
+        # point as a search of the residuals does, also for residuals on a
+        # grid point, tied, at or below the first point, at t0 and above it.
+        null = null_factory()
+        rng = np.random.default_rng(63)
+        n = 400
+        z = np.sort(null.quantile(rng.random(n)))
+        t0 = float(z[int(np.ceil(0.99 * n)) - 1])
+        grid, _ = build_scan(null, t0)
+        low = rng.permutation(np.flatnonzero(z < t0))
+        z[low[:40]] = grid[rng.integers(0, len(grid) - 1, 40)]
+        z[low[40:50]] = grid[1234]
+        z[low[50:60]] = z[low[60]]
+        z[low[60:63]] = grid[0]
+        z[low[63:66]] = grid[0] - 0.5
+        z[low[66:68]] = t0
+        z = rng.permutation(z)
+        trace = transform(z, null)
+        assert trace.t0 == t0 and np.sum(z > t0) > 0
+        assert np.isin(grid, z).sum() > 40
+        pts, vals, f_hat_t0 = transform_by_search(z, null)
+        assert trace.eval_points.tobytes() == pts.tobytes()
+        assert trace.values.tobytes() == vals.tobytes()
+        assert trace.f_hat_t0 == f_hat_t0
 
     @pytest.mark.parametrize("null_factory", [gaussian_null, student_t_null])
     def test_jumps_are_the_distinct_residuals(self, null_factory):
