@@ -3,7 +3,8 @@
 Subcommands: ``test`` (CSV dataset -> JSON report), ``estimate`` (fit
 only, grid and residual exports), ``simulate`` (Monte-Carlo study) and
 ``image`` (grayscale section -> variance-stabilized test).  A flat
-``key = value`` config file can predefine any flag; explicit flags win.
+``key = value`` config file can predefine any flag but ``--config`` and
+``--error-json``; explicit flags win.
 """
 
 import argparse
@@ -77,10 +78,26 @@ def _write_json(payload, path=None):
         sys.stdout.write(text)
 
 
+def _text_lines(path):
+    """The ``(line number, stripped line)`` pairs of a UTF-8 file's non-blank lines.
+
+    A leading byte-order mark is skipped, and blank lines are counted.  A byte
+    that is not UTF-8 raises :class:`DataFormatError` naming its line.
+    """
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:
+        text.encode("utf-8")  # fails at the first undecodable byte, escaped as a surrogate
+    except UnicodeEncodeError as exc:
+        line_no = text.count("\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}: line {line_no} is not UTF-8") from None
+    lines = map(str.strip, text.split("\n"))
+    return [(no, ln) for no, ln in enumerate(lines, start=1) if ln]
+
+
 def load_csv(path):
     """Read a dataset from a CSV file with header ``x1,...,xm,y``."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [(no, ln) for no, ln in enumerate(map(str.strip, fh), start=1) if ln]
+    lines = _text_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = [c.strip() for c in lines[0][1].split(",")]
@@ -258,14 +275,11 @@ class RunConfig:
     cv_grid: list = _option("--cv-grid", _ALL, type=_float_list,
                             help="comma-separated candidate cutoff radii")
     radius: float = _option("--radius", ("estimate",), type=float,
-                            help="fixed cutoff radius (skips CV)")
+                            help="fixed cutoff radius (skips CV; --cv-grid is unused)")
     seed: int = _option("--seed", ("simulate",), 0, type=int)
     out: str = _option("--out", _ALL, output=True)
     trace_out: str = _option("--trace-out", _RUNS_TEST, output=True)
     qq_out: str = _option("--qq-out", _RUNS_TEST, output=True)
-    error_json: str = _option(
-        "--error-json", _ALL, output=True,
-        help="write a machine-readable error description here on failure")
     scenarios: list = _option("--scenarios", ("simulate",), factory=lambda: ["normal"],
                               type=_str_list, help="comma-separated error laws")
     design: str = _option("--design", ("simulate",), "uniform", choices=COVARIATE_LAWS)
@@ -376,37 +390,18 @@ _COMMANDS = {
 }
 
 
-def _validate_paths(config):
+def _validate_paths(config, error_json):
+    """Check the input file and the directory of every output, ``error_json`` too."""
     if config.command in _READS_INPUT:
         if not config.input:
             raise ValueError(f"the {config.command} command needs an input path")
         if not os.path.isfile(config.input):
             raise FileNotFoundError(f"input file not found: {config.input}")
     outputs = [getattr(config, f.name) for f in fields(config) if f.metadata.get("output")]
-    for path in filter(None, outputs):
+    for path in filter(None, [*outputs, error_json]):
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
-
-
-def _fail(exc, error_json):
-    """Report ``exc`` on stderr and, when a path is given, as a JSON record; returns 1."""
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    if error_json:
-        try:
-            _write_json({"error": type(exc).__name__, "message": str(exc)}, error_json)
-        except OSError as write_exc:
-            print(f"error: cannot write the error record: {write_exc}", file=sys.stderr)
-    return 1
-
-
-def run(config):
-    """Execute a resolved configuration; returns the process exit status."""
-    try:
-        _validate_paths(config)
-        return _COMMANDS[config.command][0](config)
-    except (IndirgofError, ValueError, OSError) as exc:
-        return _fail(exc, config.error_json)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +411,14 @@ def run(config):
 def read_config_file(path):
     """Parse a flat ``key = value`` config file (# starts a comment)."""
     values = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise DataFormatError(
-                    f"{path}: line {line_no} is not of the form key = value"
-                )
-            key, value = (part.strip() for part in text.split("=", 1))
-            values[key.replace("-", "_")] = value
+    for line_no, line in _text_lines(path):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise DataFormatError(f"{path}: line {line_no} is not of the form key = value")
+        key, value = (part.strip() for part in text.split("=", 1))
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -451,6 +443,8 @@ def _build_parser():
     for command, (_, help_text) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, help=help_text)
         p_cmd.add_argument("--config", help="flat key=value config file; flags override")
+        p_cmd.add_argument("--error-json",
+                           help="write a machine-readable error description here on failure")
         for f in fields(RunConfig):
             if command in f.metadata.get("commands", ()):
                 flag, kwargs = f.metadata["flag"], f.metadata["argparse"]
@@ -474,18 +468,26 @@ def build_config(args):
             except ValueError as exc:
                 raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
     for key, value in vars(args).items():
-        if key not in ("command", "config") and value is not None:
+        if key not in ("command", "config", "error_json") and value is not None:
             merged[key] = value
     return RunConfig(command=args.command, **merged)
 
 
 def main(argv=None):
+    """Run the command line ``argv``; every failure past argparse's usage check exits 1."""
     args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
+        _validate_paths(config, args.error_json)
+        return _COMMANDS[config.command][0](config)
     except (IndirgofError, ValueError, OSError) as exc:
-        return _fail(exc, args.error_json)
-    return run(config)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.error_json:
+            try:
+                _write_json({"error": type(exc).__name__, "message": str(exc)}, args.error_json)
+            except OSError as write_exc:
+                print(f"error: cannot write the error record: {write_exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from indirgof.cli import (
     main,
     read_config_file,
     read_image,
-    run,
     write_dataset_csv,
 )
 from indirgof.bandwidth import default_radius_grid, select_and_fit
@@ -108,6 +108,18 @@ class TestCsvIo:
         data = load_csv(path)
         assert data.m == 2
         assert_array_equal(data.y, [1.5, -2.0])
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys, bom):
+        # once a bare UnicodeDecodeError that named neither the file nor the line
+        path, err = tmp_path / "latin.csv", tmp_path / "e.json"
+        path.write_bytes(bom + b"x1,y\n0.1,1.0\n0.2,\xff2.0\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 3 is not UTF-8$"):
+            load_csv(path)
+        assert main(["test", str(path), "--error-json", str(err)]) == 1
+        assert json.loads(err.read_text()) == {
+            "error": "DataFormatError", "message": f"{path}: line 3 is not UTF-8"}
+        assert "line 3 is not UTF-8" in capsys.readouterr().err
 
 
 def _write_pgm_p2(path, mat, maxval=255):
@@ -237,7 +249,7 @@ class TestConfigFile:
         assert config.grid_points == 7  # a key of another command is accepted
         assert config.fitted_out == "f.csv"
         assert config.reps == 3
-        for key in ("command", "config"):
+        for key in ("command", "config", "error_json", "error-json"):
             cfg.write_text(f"{key} = test\n")
             with pytest.raises(ValueError, match="unknown config key"):
                 build_config(_build_parser().parse_args(["simulate", "--config", str(cfg)]))
@@ -267,6 +279,32 @@ class TestConfigFile:
         assert read_config_file(cfg) == {"alpha": "0.1"}
         config = build_config(_build_parser().parse_args(["simulate", "--config", str(cfg)]))
         assert config.alpha == 0.1
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys, bom):
+        cfg, err = tmp_path / "latin.cfg", tmp_path / "e.json"
+        cfg.write_bytes(bom + b"# comment\n\nalpha = 0.1 # caf\xe9\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(cfg))}: line 3 is not UTF-8$"):
+            read_config_file(cfg)
+        assert main(["simulate", "--config", str(cfg), "--error-json", str(err)]) == 1
+        assert json.loads(err.read_text()) == {
+            "error": "DataFormatError", "message": f"{cfg}: line 3 is not UTF-8"}
+        assert "line 3 is not UTF-8" in capsys.readouterr().err
+
+    def test_error_json_key_is_refused(self, tmp_path, capsys):
+        # the record's path comes from the flag alone; a config file's error_json
+        # once received the record of a later run error, and was ignored after a
+        # config error
+        src, cfg = tmp_path / "d.csv", tmp_path / "c.cfg"
+        src.write_text("x1,y\n")  # no data rows: a run error
+        from_file, err = tmp_path / "from_file.json", tmp_path / "e.json"
+        cfg.write_text(f"error_json = {from_file}\n")
+        assert main(["test", str(src), "--config", str(cfg)]) == 1
+        assert "unknown config key 'error_json'" in capsys.readouterr().err
+        assert main(["test", str(src), "--config", str(cfg), "--error-json", str(err)]) == 1
+        assert json.loads(err.read_text()) == {
+            "error": "ValueError", "message": f"{cfg}: unknown config key 'error_json'"}
+        assert not from_file.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "odd.cfg"
@@ -401,6 +439,16 @@ class TestEstimateCommand:
         back = load_csv(data_out)
         assert_array_equal(back.x, data.x)
         assert_array_equal(back.y, data.y)
+
+    def test_radius_wins_over_cv_grid(self, tmp_path, capsys):
+        # a shared config file may set both, so the pair is not refused
+        src = tmp_path / "d.csv"
+        write_dataset_csv(generate(paper_model("normal", "uniform"), 80,
+                                   np.random.default_rng(419)), src)
+        assert main(["estimate", str(src), "--radius", "2", "--cv-grid", "1,3",
+                     "--out", str(tmp_path / "grid.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["chosen_radius"], summary["cv"]) == (2.0, None)
 
 
 class TestSimulateCommand:
@@ -700,9 +748,16 @@ def test_run_config_validates_alpha():
         RunConfig(command="test", alpha=1.2)
 
 
-def test_run_rejects_unknown_input(tmp_path):
-    cfg = RunConfig(command="test", input=str(tmp_path / "nope.csv"))
-    assert run(cfg) == 1
+def test_error_json_directory_is_checked_before_work(tmp_path, capsys):
+    # a run that would succeed still fails when its error record has nowhere to go
+    src, out = tmp_path / "d.csv", tmp_path / "r.json"
+    write_dataset_csv(generate(paper_model("normal", "uniform"), 40,
+                               np.random.default_rng(414)), src)
+    missing = tmp_path / "no" / "dir"
+    assert main(["test", str(src), "--out", str(out),
+                 "--error-json", str(missing / "e.json")]) == 1
+    assert f"output directory does not exist: {missing}" in capsys.readouterr().err
+    assert not out.exists() and not missing.exists()
 
 
 def test_unwritable_error_record_is_reported(tmp_path, capsys):

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from indirgof import nulls
+from indirgof.bandwidth import select_and_fit
 from indirgof.errors import ConvergenceError
+from indirgof.khmaladze import decide
 from indirgof.nulls import (
     student_t_null,
     check_fisher_information,
@@ -16,6 +18,7 @@ from indirgof.nulls import (
     get_null,
     score_h,
 )
+from indirgof.simulation import generate, paper_model
 
 
 class TestGaussianNull:
@@ -286,5 +289,18 @@ def test_student_t_name_keeps_every_digit(df, name):
 
 
 def test_student_t_df_domain():
-    with pytest.raises(ValueError):
-        student_t_null(2.0)
+    # these df were once accepted: decide then raised ZeroDivisionError in _t_hill
+    # at 1e162 and inf, an untyped non-finite transform error at 1e14, and read
+    # a statistic 4% off at 1e13
+    for df in (2.0, 1.0, math.nan, math.inf, 1e162, 1e14, 1e7 * (1 + 1e-15)):
+        with pytest.raises(ValueError, match=r"degrees of freedom must lie in \(2, 1e\+07\]"):
+            student_t_null(df)
+
+
+def test_student_t_at_the_df_bound_decides():
+    data = generate(paper_model("normal", "uniform"), 300, np.random.default_rng(0))
+    _, fitted = select_and_fit(data)
+    gauss = decide(fitted, gaussian_null(), 0.05).statistic
+    at_bound = decide(fitted, student_t_null(1e7), 0.05).statistic
+    # the Student t statistic sits 15.5 / df relative below the Gaussian one
+    assert at_bound == pytest.approx(gauss * (1.0 - 1.55e-6), rel=5e-8)
